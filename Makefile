@@ -4,6 +4,35 @@
 
 all: build vet vet-metrics vet-imports vet-schema test
 
+# Every leg that picks tests by name goes through one of these, so a rename
+# fails the leg instead of turning it into a silent pass: `go test` exits 0
+# when -run, -fuzz or -bench matches nothing.
+#
+#   $(call require_tests,<pattern>,<packages>)   fail unless every |-separated
+#       alternative of <pattern> names at least one Test/Fuzz/Benchmark/Example
+#       in <packages> (patterns here are flat alternations of plain names)
+#   $(call go_test_run,<go test flags>,<pattern>,<packages>)   the check, then
+#       go test <flags> -run '<pattern>' <packages>
+#   $(call go_test_fuzz,<fuzz target>,<package>)   the check, then a
+#       $(FUZZTIME) fuzz pass
+define require_tests
+	@list="$$(go test -list '.' $(2))" || { echo "$$list"; exit 1; }; \
+	for alt in $$(echo '$(1)' | tr '|' ' '); do \
+		echo "$$list" | grep -E '^(Test|Fuzz|Benchmark|Example)' | grep -Eq -- "$$alt" || \
+			{ echo "FAIL: '$$alt' selects no test in $(2)"; exit 1; }; \
+	done
+endef
+
+define go_test_run
+	$(call require_tests,$(2),$(3))
+	go test $(1) -run '$(2)' $(3)
+endef
+
+define go_test_fuzz
+	$(call require_tests,$(1),$(2))
+	go test -count=1 -run=NONE -fuzz '$(1)' -fuzztime $(FUZZTIME) $(2)
+endef
+
 race:
 	go test -race ./...
 
@@ -11,23 +40,24 @@ race:
 # proxy (outage -> fail-static -> fail-open -> reconvergence), plus the
 # dead-server wedge regression, all under the race detector.
 chaos:
-	go test -race -count=1 -timeout 180s -v \
-		-run 'TestChaosEnforcementSurvivesOutage|TestAgentRunNotWedgedByDeadServer' \
-		./internal/integration/
+	$(call go_test_run,-race -count=1 -timeout 180s -v,TestChaosEnforcementSurvivesOutage|TestAgentRunNotWedgedByDeadServer,./internal/integration/)
 	go test -race -count=1 -timeout 120s ./internal/faults/ ./internal/wire/
 
 # Durability plane: the randomized crash-recovery property (Kill + torn
-# journal tail, 50 seeded runs), the WAL decoder corruption suite, the
-# overload/queue-timeout admission tests, and the end-to-end SIGKILL drill —
-# a real grantd subprocess killed mid-storm must restart on its journal,
-# serve pre-kill decisions byte-identically, re-decide in-flight work, and
-# leave agents converged. All under the race detector.
+# journal tail, 50 seeded runs) and its second sweep across rotations
+# (concurrent submitters, un-synced tail lost, no observed decision lost),
+# the WAL decoder corruption suite, failed rotations, rotations that fall
+# due while a commit group is staged or a submission is in the decider, the
+# commit cadence, the checkpoint amortisation at cmd/grantd's defaults, the
+# parent commit's journal fixture, the overload/queue-timeout admission
+# tests, and the
+# end-to-end SIGKILL drill — a real grantd subprocess killed mid-storm must
+# restart on its journal, serve pre-kill decisions byte-identically,
+# re-decide in-flight work, and leave agents converged. All under the race
+# detector.
 crash:
-	go test -race -count=1 -timeout 300s \
-		-run 'TestCrashRecoveryProperty|TestOverloadShed|TestQueueTimeout|TestWAL|TestReplayWAL|TestJournalCheckpointRotation|TestServiceCleanRestart' \
-		./internal/granting/
-	go test -race -count=1 -timeout 300s -v \
-		-run 'TestGrantdCrashRecoverySockets' ./internal/integration/
+	$(call go_test_run,-race -count=1 -timeout 300s,TestCrashRecoveryProperty|TestCrashRecoveryAcrossRotations|TestOverloadShed|TestQueueTimeout|TestWAL|TestReplayWAL|TestJournalCheckpointRotation|TestJournalFailedRotation|TestJournalAmortisedAtDefaults|TestGroupCommitSharesSyncs|TestRotationKeepsStagedGroup|TestCheckpointCarriesInflightSubmission|TestRecoverParentJournal|TestServiceCleanRestart,./internal/granting/)
+	$(call go_test_run,-race -count=1 -timeout 300s -v,TestGrantdCrashRecoverySockets,./internal/integration/)
 
 build:
 	go build ./...
@@ -41,13 +71,13 @@ vet:
 # init, but the scan catches them without having to link the package).
 vet-metrics:
 	go vet ./...
-	go test -run TestVetMetricNames -count=1 ./internal/obs/
+	$(call go_test_run,-count=1,TestVetMetricNames,./internal/obs/)
 
 # Stdlib-only lint: scans the import block of every .go file in the module
 # and fails if anything imports outside the standard library and this module.
 # Guards the repo invariant that builds need no network and no vendoring.
 vet-imports:
-	go test -run TestVetStdlibImports -count=1 ./internal/obs/
+	$(call go_test_run,-count=1,TestVetStdlibImports,./internal/obs/)
 
 # Schema compatibility gate: re-derives a fingerprint for every wire schema
 # from the live Go types and fails if any shape drifted from the committed
@@ -70,7 +100,7 @@ test:
 # budget monotonically, asserted from the report JSON and live /metrics.
 slo:
 	go test -race -count=1 -timeout 120s ./internal/slo/
-	go test -race -count=1 -timeout 120s -run TestSLOConformanceIncident -v ./internal/integration/
+	$(call go_test_run,-race -count=1 -timeout 120s -v,TestSLOConformanceIncident,./internal/integration/)
 
 # Incident black box: lifecycle/budget/crash-tail unit tests, the capture
 # decoder's fuzz seed corpus, the drain-race accounting invariant, and the
@@ -78,11 +108,8 @@ slo:
 # through the real engine and the envelope must name the injected root cause.
 # All under the race detector.
 replay:
-	go test -race -count=1 -timeout 180s \
-		-run 'TestBlackbox|TestEnvelopeRoundtrip|TestDrainDropAccountingRace|FuzzBlackboxDecode' \
-		./internal/slo/
-	go test -race -count=1 -timeout 180s -v \
-		-run 'TestBlackboxIncidentReplay' ./internal/integration/
+	$(call go_test_run,-race -count=1 -timeout 180s,TestBlackbox|TestEnvelopeRoundtrip|TestDrainDropAccountingRace|FuzzBlackboxDecode,./internal/slo/)
+	$(call go_test_run,-race -count=1 -timeout 180s -v,TestBlackboxIncidentReplay,./internal/integration/)
 
 bench:
 	go test -count=1 -bench=. -benchmem ./...
@@ -98,8 +125,9 @@ bench-smoke:
 # scenarios re-simulated and p50 wall clock). The bar is asserted by the
 # test, never eyeballed from bench output.
 bench-delta:
+	$(call require_tests,BenchmarkAssessCold|BenchmarkAssessWarm|BenchmarkAssessDelta,./internal/risk/)
 	go test -count=1 -run=NONE -bench='BenchmarkAssess(Cold|Warm|Delta)' -benchtime=1x ./internal/risk/
-	go test -count=1 -run 'TestDeltaSpeedup' -v ./internal/risk/
+	$(call go_test_run,-count=1 -v,TestDeltaSpeedup,./internal/risk/)
 
 # Distributed tracing spine: the trace package's unit/property/fuzz-seed
 # suite, the wire propagation and SetTrace race tests, and the golden
@@ -110,8 +138,8 @@ bench-delta:
 # under the race detector.
 trace:
 	go test -race -count=1 -timeout 120s ./internal/obs/trace/
-	go test -race -count=1 -timeout 120s -run 'TestCallPropagatesSpanTree|TestSetTraceRaceWithConcurrentCalls' ./internal/wire/
-	go test -race -count=1 -timeout 180s -v -run 'TestDistributedTraceSpine|TestTailSamplingRetention' ./internal/integration/
+	$(call go_test_run,-race -count=1 -timeout 120s,TestCallPropagatesSpanTree|TestSetTraceRaceWithConcurrentCalls,./internal/wire/)
+	$(call go_test_run,-race -count=1 -timeout 180s -v,TestDistributedTraceSpine|TestTailSamplingRetention,./internal/integration/)
 
 # Wire compatibility matrix: every codec pairing (binary client vs JSON
 # server and the reverse), old frames without Trace/ID, torn and oversized
@@ -119,12 +147,8 @@ trace:
 # JSON-after-binary regression — all under the race detector, across the
 # wire and kvstore layers.
 wirecompat:
-	go test -race -count=1 -timeout 120s \
-		-run 'TestWireCompatMatrix|TestBinaryEnvelopeOverLegacyHandler|TestOldFrameWithoutTraceOrID|TestBinaryServerRejectsJSONFrameMidConnection|TestBinaryServerRejectsTornAndOversizedFrames|TestBinaryServerRejectsUnparseableJSONFrame|TestNegotiationFallbackToJSON|TestRenegotiateAfterReconnect|TestCrossCodecGolden|TestCallBinaryServerMisbehaves|TestClientNegotiateServerMisbehaves' \
-		./internal/wire/
-	go test -race -count=1 -timeout 120s \
-		-run 'TestClientCodecMatrix|TestBinaryPutKeysDoNotAliasFrameBuffer' \
-		./internal/kvstore/
+	$(call go_test_run,-race -count=1 -timeout 120s,TestWireCompatMatrix|TestBinaryEnvelopeOverLegacyHandler|TestOldFrameWithoutTraceOrID|TestBinaryServerRejectsJSONFrameMidConnection|TestBinaryServerRejectsTornAndOversizedFrames|TestBinaryServerRejectsUnparseableJSONFrame|TestNegotiationFallbackToJSON|TestRenegotiateAfterReconnect|TestCrossCodecGolden|TestCallBinaryServerMisbehaves|TestClientNegotiateServerMisbehaves,./internal/wire/)
+	$(call go_test_run,-race -count=1 -timeout 120s,TestClientCodecMatrix|TestBinaryPutKeysDoNotAliasFrameBuffer,./internal/kvstore/)
 
 # Short fuzz pass over every parser that faces untrusted bytes: the wire
 # JSON framing and binary envelope, the journal replay path, the black-box
@@ -133,12 +157,12 @@ wirecompat:
 # churning well past the seed corpus.
 FUZZTIME ?= 30s
 fuzz-smoke:
-	go test -count=1 -run=NONE -fuzz 'FuzzReadMessage' -fuzztime $(FUZZTIME) ./internal/wire/
-	go test -count=1 -run=NONE -fuzz 'FuzzBinaryFrameDecode' -fuzztime $(FUZZTIME) ./internal/wire/
-	go test -count=1 -run=NONE -fuzz 'FuzzJournalReplay' -fuzztime $(FUZZTIME) ./internal/granting/
-	go test -count=1 -run=NONE -fuzz 'FuzzBlackboxDecode' -fuzztime $(FUZZTIME) ./internal/slo/
-	go test -count=1 -run=NONE -fuzz 'FuzzParseTraceContext' -fuzztime $(FUZZTIME) ./internal/obs/trace/
-	go test -count=1 -run=NONE -fuzz 'FuzzParseText' -fuzztime $(FUZZTIME) ./internal/obs/
+	$(call go_test_fuzz,FuzzReadMessage,./internal/wire/)
+	$(call go_test_fuzz,FuzzBinaryFrameDecode,./internal/wire/)
+	$(call go_test_fuzz,FuzzJournalReplay,./internal/granting/)
+	$(call go_test_fuzz,FuzzBlackboxDecode,./internal/slo/)
+	$(call go_test_fuzz,FuzzParseTraceContext,./internal/obs/trace/)
+	$(call go_test_fuzz,FuzzParseText,./internal/obs/)
 
 # Regenerate the perf-trajectory files: BENCH_risk.json (cold vs warm vs
 # delta Assess p50, allocator ns/op + allocs/op), BENCH_slo.json

@@ -8,14 +8,17 @@
 // Usage:
 //
 //	grantd [-addr HOST:PORT] [-contractdb ADDR] [-figure6 | -regions N] [-scenarios N] [-slo X] [-metrics-addr ADDR]
-//	       [-wal-dir DIR] [-fsync none|batch|always] [-max-queue N] [-max-queue-delay D]
+//	       [-wal-dir DIR] [-fsync none|batch|always] [-checkpoint-bytes N] [-max-queue N] [-max-queue-delay D]
 //	grantd -demo
 //
 // With -wal-dir set, every accepted submission and decided batch is written
 // to a checksummed write-ahead journal before it is acknowledged; on restart
 // grantd replays the journal (tolerating a torn tail from a crash), serves
 // already-decided request ids byte-identically, and re-decides in-flight
-// submissions deterministically. -max-queue bounds the admission queue —
+// submissions deterministically. -checkpoint-bytes is the journal bytes
+// between state snapshots: the journal rotates once the records appended
+// after a snapshot reach max(-checkpoint-bytes, the snapshot's own size), so
+// snapshots never outweigh the log. -max-queue bounds the admission queue —
 // overflow sheds with a retryable overload error carrying a retry-after
 // hint — and -max-queue-delay fails requests that outlive their wait.
 //
@@ -66,8 +69,8 @@ func main() {
 	negotiateSearch := flag.Bool("negotiate-search", false, "price counter-proposals with the RAILS-style local search over (rate shrink, QoS class shift) moves")
 	negotiateEvals := flag.Int("negotiate-evals", 0, "max re-approval evaluations per under-approved hose in the negotiation search (0 = default 8)")
 	walDir := flag.String("wal-dir", "", "write-ahead decision journal directory (empty disables durability)")
-	fsync := flag.String("fsync", "", "journal fsync policy: none, batch, or always (default batch)")
-	checkpointBytes := flag.Int64("checkpoint-bytes", 0, "journal bytes between snapshot checkpoints (0 = default 1 MiB)")
+	fsync := flag.String("fsync", "", "journal fsync policy: none (OS-paced), batch (group commit: one sync per commit slot, a slot every 2 ms, and per checkpoint; observed decisions survive a crash), or always (sync per record: accepted submissions survive too) (default batch)")
+	checkpointBytes := flag.Int64("checkpoint-bytes", 0, "journal bytes between snapshot checkpoints: rotate once the records after a snapshot reach max(this, the snapshot's size) (0 = default 1 MiB)")
 	maxQueue := flag.Int("max-queue", 0, "admission-queue bound; submissions beyond it shed with a retryable overload error (0 = unbounded)")
 	maxQueueDelay := flag.Duration("max-queue-delay", 0, "fail requests queued longer than this with a queue-timeout decision (0 = never)")
 	shedRetryAfter := flag.Duration("shed-retry-after", 0, "retry-after hint attached to shed submissions (0 = default 500ms)")

@@ -45,6 +45,31 @@ func BenchmarkGrantdWarmCache(b *testing.B) {
 	}
 }
 
+// BenchmarkGrantdJournaledFullRing measures a memoized four-hose decision
+// through a journaled service at cmd/grantd's journal defaults once the
+// retention ring is full — the regime where the snapshot alone outgrows
+// -checkpoint-bytes, and a checkpoint taken too often dwarfs everything
+// else (ISSUE 13: 20 ms a decision before the rotation rule counted only
+// the bytes after the snapshot). One submitter in a tight loop is paced to
+// the commit slots, so ns/op reads commitInterval; the regime shows in
+// ckpts/op and journalB/op.
+func BenchmarkGrantdJournaledFullRing(b *testing.B) {
+	opts := benchOptions()
+	opts.WAL = WALOptions{Dir: b.TempDir()}
+	svc := NewService(topology.FigureSix(), nil, opts)
+	defer svc.Close()
+	pool := fourHosePool()
+	fillRing(b, svc, pool)
+	ckpts, written := mJournalCheckpoints.Value(), mJournalBytes.Value()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		submitWait(b, svc, pool[i%len(pool)])
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(mJournalCheckpoints.Value()-ckpts)/float64(b.N), "ckpts/op")
+	b.ReportMetric(float64(mJournalBytes.Value()-written)/float64(b.N), "journalB/op")
+}
+
 // BenchmarkGrantdColdAssess measures the same decision with every cache
 // empty: fresh service, fresh scenario sets, fresh runners.
 func BenchmarkGrantdColdAssess(b *testing.B) {

@@ -38,6 +38,7 @@
 package granting
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -47,6 +48,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"time"
 )
 
 // FsyncPolicy says when the journal calls fsync.
@@ -58,7 +60,8 @@ const (
 	// can lose recent records (they are re-derived deterministically), a
 	// clean restart loses nothing.
 	FsyncNone FsyncPolicy = "none"
-	// FsyncBatch (the default) syncs once per decided batch and per
+	// FsyncBatch (the default) syncs once per commit group — every batch
+	// decided since the last commit slot, see commitInterval — and per
 	// checkpoint; accepted-but-undecided submissions may be lost to a
 	// crash, decisions survive.
 	FsyncBatch FsyncPolicy = "batch"
@@ -84,9 +87,18 @@ type WALOptions struct {
 	Dir string
 	// Fsync is the sync policy. Default FsyncBatch.
 	Fsync FsyncPolicy
-	// CheckpointBytes rotates the journal (snapshot + truncate) once the
-	// current generation exceeds this many bytes. Default 1 MiB.
+	// CheckpointBytes is the journal bytes between snapshot checkpoints: the
+	// journal rotates (snapshot + prune) once the records appended after
+	// the generation's opening snapshot reach max(CheckpointBytes, snapshot
+	// bytes). Growing the bound with the snapshot keeps write amplification
+	// and replay size within 2x of the log for any Retain and decision
+	// size. Default 1 MiB.
 	CheckpointBytes int64
+
+	// create makes an empty generation file; nil means createWALFile. The
+	// crash tests substitute files that fail on cue and record what a
+	// completed sync covers.
+	create func(path string) (walFile, error)
 }
 
 func (o WALOptions) withDefaults() WALOptions {
@@ -96,7 +108,19 @@ func (o WALOptions) withDefaults() WALOptions {
 	if o.CheckpointBytes <= 0 {
 		o.CheckpointBytes = 1 << 20
 	}
+	if o.create == nil {
+		o.create = createWALFile
+	}
 	return o
+}
+
+// createWALFile creates (or empties) a generation file on disk.
+func createWALFile(path string) (walFile, error) {
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	return f, nil
 }
 
 // maxWALRecord bounds one record's payload; a length prefix beyond it marks
@@ -145,20 +169,35 @@ type walRecord struct {
 	Ckpt *walCkpt `json:"ckpt,omitempty"`
 }
 
-// encodeWALRecord frames one record; the returned length includes the header.
-func encodeWALRecord(rec *walRecord) ([]byte, error) {
-	body, err := json.Marshal(rec)
-	if err != nil {
+// walEncoder frames records into one reusable buffer, so a 1.5 MB snapshot
+// costs no record-sized garbage once the buffer has grown to fit it. The
+// slice encode returns is valid until the next encode.
+type walEncoder struct {
+	buf bytes.Buffer
+	enc *json.Encoder
+}
+
+// encode frames one record; the returned slice includes the header. The
+// payload bytes are exactly json.Marshal(rec).
+func (e *walEncoder) encode(rec *walRecord) ([]byte, error) {
+	if e.enc == nil {
+		e.enc = json.NewEncoder(&e.buf)
+	}
+	e.buf.Reset()
+	var hdr [walHeaderSize]byte
+	e.buf.Write(hdr[:])
+	if err := e.enc.Encode(rec); err != nil {
 		return nil, fmt.Errorf("granting: journal encode: %w", err)
 	}
+	frame := e.buf.Bytes()
+	frame = frame[:len(frame)-1] // Encode's trailing newline is not payload
+	body := frame[walHeaderSize:]
 	if len(body) > maxWALRecord {
 		return nil, fmt.Errorf("granting: journal record %d bytes exceeds %d", len(body), maxWALRecord)
 	}
-	buf := make([]byte, walHeaderSize+len(body))
-	binary.BigEndian.PutUint32(buf[0:4], uint32(len(body)))
-	binary.BigEndian.PutUint32(buf[4:8], crc32.Checksum(body, walCRC))
-	copy(buf[walHeaderSize:], body)
-	return buf, nil
+	binary.BigEndian.PutUint32(frame[0:4], uint32(len(body)))
+	binary.BigEndian.PutUint32(frame[4:8], crc32.Checksum(body, walCRC))
+	return frame, nil
 }
 
 // decodeWALStream reads records until EOF or the first invalid record. It
@@ -281,34 +320,14 @@ func (st *Recovered) applyWALRecord(rec *walRecord) {
 		}
 		st.Pending = kept
 		// Checkpoints carry exact stats; events after the checkpoint fold
-		// in here, mirroring decide()/failTimeout() accounting, so a crash
-		// recovers the same counters a clean shutdown would have saved.
-		// (Memo hit/miss counters stay checkpoint-only: the memo itself is
+		// in here with the accounting publish() uses, so a crash recovers
+		// the same counters a clean shutdown would have saved. (Memo
+		// hit/miss counters stay checkpoint-only: the memo itself is
 		// in-memory and rebuilt cold.)
-		riskDecided := false
 		for i, id := range rec.Dec.IDs {
 			st.Decided = append(st.Decided, walDecided{ID: id, Dec: rec.Dec.Decs[i]})
-			st.Stats.Decided++
-			switch rec.Dec.Decs[i].Status {
-			case StatusApproved:
-				st.Stats.Approved++
-				riskDecided = true
-			case StatusNegotiated:
-				st.Stats.Negotiated++
-				riskDecided = true
-			case StatusRejected:
-				st.Stats.Rejected++
-				riskDecided = true
-			case StatusQueueTimeout:
-				st.Stats.QueueTimeouts++
-			default:
-				st.Stats.Errors++
-				riskDecided = true
-			}
 		}
-		if riskDecided {
-			st.Stats.Batches++
-		}
+		st.Stats.countDecided(rec.Dec.Decs)
 		st.bumpSeq(rec.Dec.IDs)
 	}
 }
@@ -355,16 +374,28 @@ func ReplayWAL(dir string) (*Recovered, error) {
 	return st, nil
 }
 
-// Journal is the service's append handle. All methods are called with the
-// service mutex held (the service serializes submitters and the decider),
-// so the Journal itself carries no lock.
+// walFile is what the journal needs of a generation file.
+type walFile interface {
+	io.Writer
+	Sync() error
+	Close() error
+}
+
+// Journal is the service's append handle. Every method but awaitCommitSlot
+// and commit is called with the service mutex held (the service serializes
+// submitters, the decider and the committer), so the Journal itself carries
+// no lock.
 type Journal struct {
 	dir       string
 	policy    FsyncPolicy
 	ckptEvery int64
+	create    func(path string) (walFile, error)
 	gen       uint64
-	f         *os.File
-	size      int64 // bytes written to the current generation
+	f         walFile
+	size      int64 // bytes appended to the current generation after its snapshot
+	rotateAt  int64 // size at which the next checkpoint is due
+	enc       walEncoder
+	lastSlot  time.Time // the latest commit slot (FsyncBatch)
 }
 
 // openJournal replays dir, then begins a fresh generation with a checkpoint
@@ -387,7 +418,7 @@ func openJournal(o WALOptions) (*Journal, *Recovered, error) {
 	if len(gens) > 0 {
 		next = gens[len(gens)-1] + 1
 	}
-	j := &Journal{dir: o.Dir, policy: o.Fsync, ckptEvery: o.CheckpointBytes, gen: next - 1}
+	j := &Journal{dir: o.Dir, policy: o.Fsync, ckptEvery: o.CheckpointBytes, create: o.create, gen: next - 1}
 	if err := j.checkpoint(&walCkpt{
 		Seq:     st.Seq,
 		Stats:   st.Stats,
@@ -399,10 +430,19 @@ func openJournal(o WALOptions) (*Journal, *Recovered, error) {
 	return j, st, nil
 }
 
-// append frames rec, writes it to the current generation, and syncs when
-// the policy (or force) says so.
-func (j *Journal) append(rec *walRecord, force bool) error {
-	buf, err := encodeWALRecord(rec)
+// sync fsyncs f and counts the call.
+func (j *Journal) sync(f walFile) error {
+	if err := f.Sync(); err != nil {
+		return fmt.Errorf("granting: journal sync: %w", err)
+	}
+	mJournalFsyncs.Inc()
+	return nil
+}
+
+// append frames rec, writes it to the current generation, and under
+// FsyncAlways syncs it.
+func (j *Journal) append(rec *walRecord) error {
+	buf, err := j.enc.encode(rec)
 	if err != nil {
 		mJournalErrors.Inc()
 		return err
@@ -414,12 +454,11 @@ func (j *Journal) append(rec *walRecord, force bool) error {
 	j.size += int64(len(buf))
 	mJournalRecords.With(rec.T).Inc()
 	mJournalBytes.Add(int64(len(buf)))
-	if j.policy == FsyncAlways || (force && j.policy != FsyncNone) {
-		if err := j.f.Sync(); err != nil {
+	if j.policy == FsyncAlways {
+		if err := j.sync(j.f); err != nil {
 			mJournalErrors.Inc()
-			return fmt.Errorf("granting: journal sync: %w", err)
+			return err
 		}
-		mJournalFsyncs.Inc()
 	}
 	return nil
 }
@@ -428,35 +467,90 @@ func (j *Journal) append(rec *walRecord, force bool) error {
 // is durable before Submit returns; under weaker policies a crash may shed
 // it (the caller never saw an id either way the decision goes).
 func (j *Journal) appendSub(ids []string, reqs []Request) error {
-	return j.append(&walRecord{T: "sub", Sub: &walSub{IDs: ids, Reqs: reqs}}, false)
+	return j.append(&walRecord{T: "sub", Sub: &walSub{IDs: ids, Reqs: reqs}})
 }
 
-// appendDec journals one decided batch; FsyncBatch and FsyncAlways both
-// sync here, so a decision the caller observed survives a crash.
+// appendDec journals one decided batch. FsyncAlways syncs it here; under
+// FsyncBatch the service publishes the decisions only after the commit that
+// covers the record, so either way a decision the caller observed survives
+// a crash.
 func (j *Journal) appendDec(sig string, ids []string, decs []Decision) error {
-	return j.append(&walRecord{T: "dec", Dec: &walDec{Sig: sig, IDs: ids, Decs: decs}}, true)
+	return j.append(&walRecord{T: "dec", Dec: &walDec{Sig: sig, IDs: ids, Decs: decs}})
 }
 
-// needCheckpoint reports whether the current generation has outgrown the
-// rotation bound.
-func (j *Journal) needCheckpoint() bool { return j.f == nil || j.size >= j.ckptEvery }
+// commitInterval is the commit cadence under FsyncBatch: the journal opens
+// one commit slot per interval, and one sync at the slot covers every dec
+// record staged since the last one. A fixed cadence rather than a sync per
+// decision bounds the sustained fsync rate at 500/s however many submitters
+// there are, and makes a closed loop of back-to-back submitters advance one
+// decision each per slot instead of at the pace of the disk and the
+// scheduler. 2 ms is about 1.6x what a memoized decision needs to get from a
+// released waiter back into the journal over loopback plus the sync itself
+// (see EXPERIMENTS.md, "Decision journal" J3), so such submitters make every
+// slot with room to spare.
+const commitInterval = 2 * time.Millisecond
 
-// checkpoint rotates to a new generation: write the snapshot record, sync
-// it (unless FsyncNone), then delete every older generation. Old files are
-// removed only after the new checkpoint is durable, so a crash between the
-// two steps replays the previous generation instead of losing state.
+// commitBurst is how many unused slots the schedule keeps: a journal that has
+// been quiet, or held up (a checkpoint takes 10-25 ms), commits that many
+// groups as they come before the cadence applies again. So a request after a
+// quiet spell is not delayed at all, a short burst from one submitter is not
+// paced, and time lost to a stall is made up instead of lowering the rate.
+const commitBurst = 16
+
+// awaitCommitSlot blocks until the next commit slot: one interval after the
+// previous one, but no further back than commitBurst intervals ago. Slots
+// advance on their schedule, not on when the committer woke, so neither
+// wake-up latency nor a stall stretches the cadence. Committer only.
+func (j *Journal) awaitCommitSlot() {
+	slot := j.lastSlot.Add(commitInterval)
+	if oldest := time.Now().Add(-commitBurst * commitInterval); slot.Before(oldest) {
+		slot = oldest
+	}
+	sleepUntil(slot)
+	j.lastSlot = slot
+}
+
+// commit syncs the current generation, making every record written so far
+// durable. It is called without the service mutex (appends may go on beside
+// it; only the caller's goroutine rotates) and counts its own failures.
+func (j *Journal) commit() {
+	if err := j.sync(j.f); err != nil {
+		mJournalErrors.Inc()
+	}
+}
+
+// needCheckpoint reports whether the log appended after the generation's
+// snapshot has reached the rotation bound, max(CheckpointBytes, snapshot
+// bytes): the snapshot is rewritten only once as many bytes of records have
+// followed it, so write amplification and replay size both stay within 2x
+// of the log however large Retain makes the snapshot.
+func (j *Journal) needCheckpoint() bool { return j.size >= j.rotateAt }
+
+// checkpoint rotates to a new generation: write the snapshot record into
+// the next generation's file, sync it (unless FsyncNone), and only then
+// switch appends over and delete every older generation — a crash at any
+// point replays a generation that opens with a complete snapshot. If the
+// new generation cannot be written the journal keeps appending to the
+// current one, which stays the replay source; the failure is counted and
+// the rotation retried after another CheckpointBytes of log.
 func (j *Journal) checkpoint(ck *walCkpt) error {
 	gen := j.gen + 1
-	f, err := os.OpenFile(walGen(j.dir, gen), os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+	buf, err := j.enc.encode(&walRecord{T: "ckpt", Ckpt: ck})
+	var f walFile
+	if err == nil {
+		f, err = j.writeGeneration(walGen(j.dir, gen), buf)
+	}
 	if err != nil {
 		mJournalErrors.Inc()
-		return fmt.Errorf("granting: journal rotate: %w", err)
-	}
-	old := j.f
-	j.f, j.size, j.gen = f, 0, gen
-	if err := j.append(&walRecord{T: "ckpt", Ckpt: ck}, true); err != nil {
+		j.rotateAt = j.size + j.ckptEvery
 		return err
 	}
+	old := j.f
+	j.f, j.gen, j.size = f, gen, 0
+	j.rotateAt = max(j.ckptEvery, int64(len(buf)))
+	mJournalRecords.With("ckpt").Inc()
+	mJournalBytes.Add(int64(len(buf)))
+	mJournalCheckpoints.Inc()
 	if j.policy != FsyncNone {
 		if d, derr := os.Open(j.dir); derr == nil {
 			d.Sync()
@@ -475,8 +569,27 @@ func (j *Journal) checkpoint(ck *walCkpt) error {
 			os.Remove(walGen(j.dir, g))
 		}
 	}
-	mJournalCheckpoints.Inc()
 	return nil
+}
+
+// writeGeneration creates path holding exactly the framed snapshot, durable
+// unless FsyncNone. On failure nothing of the file is left behind.
+func (j *Journal) writeGeneration(path string, snapshot []byte) (walFile, error) {
+	f, err := j.create(path)
+	if err != nil {
+		return nil, fmt.Errorf("granting: journal rotate: %w", err)
+	}
+	if _, err = f.Write(snapshot); err != nil {
+		err = fmt.Errorf("granting: journal rotate: %w", err)
+	} else if j.policy != FsyncNone {
+		err = j.sync(f)
+	}
+	if err != nil {
+		f.Close()
+		os.Remove(path)
+		return nil, err
+	}
+	return f, nil
 }
 
 // Close syncs and closes the current generation.

@@ -26,6 +26,9 @@ func walTestRecords() []walRecord {
 	}
 }
 
+// encodeWALRecord frames one record with a throwaway encoder.
+func encodeWALRecord(rec *walRecord) ([]byte, error) { return new(walEncoder).encode(rec) }
+
 func encodeAll(t *testing.T, recs []walRecord) []byte {
 	t.Helper()
 	var buf bytes.Buffer

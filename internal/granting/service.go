@@ -60,6 +60,33 @@ type Stats struct {
 	RecoveredPending int64 `json:"recovered_pending,omitempty"`
 }
 
+// countDecided folds one decided batch into the counters; journal replay
+// uses it too, so recovered stats match what the live service counted. A
+// batch of queue timeouts never ran a risk pass and is not a Batch.
+func (st *Stats) countDecided(decs []Decision) {
+	riskDecided := false
+	for i := range decs {
+		st.Decided++
+		switch decs[i].Status {
+		case StatusApproved:
+			st.Approved++
+		case StatusNegotiated:
+			st.Negotiated++
+		case StatusRejected:
+			st.Rejected++
+		case StatusQueueTimeout:
+			st.QueueTimeouts++
+			continue
+		default:
+			st.Errors++
+		}
+		riskDecided = true
+	}
+	if riskDecided {
+		st.Batches++
+	}
+}
+
 // submission is one queue entry: a group of requests decided atomically in
 // one risk pass (SubmitGroup), or a single request eligible for coalescing.
 type submission struct {
@@ -67,7 +94,7 @@ type submission struct {
 	ids      []string
 	enqueued time.Time
 	done     chan struct{}
-	err      error
+	decs     []Decision // decs[i] answers ids[i]; set before done closes
 
 	// tc parents this submission's lifecycle spans: the submitter's context
 	// when one came across the wire, otherwise the context of rootSp — a
@@ -106,6 +133,17 @@ type Service struct {
 	closed  bool
 	killed  bool // Kill(): stop without draining or closing the journal
 	done    chan struct{}
+
+	// inflight is what the decider popped and has not yet handed to publish,
+	// in queue order: neither queued nor decided, so a snapshot taken by the
+	// committer meanwhile has to carry it as pending.
+	inflight []*submission
+	// staged is the open commit group (FsyncBatch): decided batches whose dec
+	// records are written but not yet covered by a sync, in decision order.
+	// The committer syncs once per group and only then publishes it.
+	staged     []decidedBatch
+	commitCond *sync.Cond // signalled when staged grows or the decider exits
+	drained    bool       // the decider has exited; nothing more will stage
 }
 
 // NewService starts the decider. Close releases it. With Options.WAL.Dir
@@ -144,6 +182,7 @@ func OpenService(topo *topology.Topology, sink Sink, opts Options) (*Service, er
 		s.tracer = trace.Default()
 	}
 	s.cond = sync.NewCond(&s.mu)
+	s.commitCond = sync.NewCond(&s.mu)
 	if o.WAL.Dir != "" {
 		j, st, err := openJournal(o.WAL)
 		if err != nil {
@@ -383,15 +422,14 @@ func (s *Service) Wait(id string, timeout time.Duration) (*Decision, error) {
 	case <-t.C:
 		return nil, ErrPending
 	}
-	if sub.err != nil {
-		return nil, sub.err
+	// The submission carries its own decisions, so a released waiter never
+	// queues on the service mutex behind a checkpoint.
+	for i := range sub.ids {
+		if sub.ids[i] == id {
+			return &sub.decs[i], nil
+		}
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if d, ok := s.decided[id]; ok {
-		return d, nil
-	}
-	return nil, fmt.Errorf("granting: decision for %q evicted", id)
+	return nil, fmt.Errorf("granting: unknown request id %q", id)
 }
 
 // Status reports "pending", "decided", or "unknown" for id, with the
@@ -449,31 +487,49 @@ func (s *Service) Close() {
 	<-s.done
 }
 
-// run is the decider loop: it pops either one atomic group or a collision-
+// run owns the service's goroutines: the decider, and under FsyncBatch the
+// committer beside it. It returns once both have, after the closing
+// checkpoint.
+func (s *Service) run() {
+	defer close(s.done)
+	var committer sync.WaitGroup
+	if s.j != nil && s.j.policy == FsyncBatch {
+		committer.Add(1)
+		go func() {
+			defer committer.Done()
+			s.commitLoop()
+		}()
+	}
+	s.decideLoop()
+	s.mu.Lock()
+	s.drained = true
+	s.commitCond.Signal()
+	s.mu.Unlock()
+	committer.Wait() // it publishes what is still staged, unless killed
+	s.mu.Lock()
+	if s.j != nil && !s.killed {
+		// Closed and drained: snapshot once more so the next start replays a
+		// single checkpoint record, then release the file.
+		s.rotateLocked()
+		s.j.Close()
+	}
+	s.mu.Unlock()
+}
+
+// decideLoop is the decider: it pops either one atomic group or a collision-
 // free run of singles (up to MaxBatch) and decides them in one pass.
 // Submissions that aged past MaxQueueDelay are failed with a queue-timeout
 // decision before any batch is assembled — a late grant answers a question
-// nobody is still asking.
-func (s *Service) run() {
-	defer close(s.done)
+// nobody is still asking. It runs until the service is closed and its queue
+// drained, or killed (crash simulation: the queue is abandoned and the
+// journal left exactly as it is — recovery is the cleanup).
+func (s *Service) decideLoop() {
 	for {
 		s.mu.Lock()
 		for len(s.queue) == 0 && !s.closed && !s.killed {
 			s.cond.Wait()
 		}
-		if s.killed {
-			// Crash simulation: abandon the queue and leave the journal
-			// exactly as it is — recovery is the cleanup.
-			s.mu.Unlock()
-			return
-		}
-		if len(s.queue) == 0 {
-			// Closed and drained: snapshot once more so the next start
-			// replays a single checkpoint record, then release the file.
-			if s.j != nil {
-				s.j.checkpoint(s.snapshotLocked())
-				s.j.Close()
-			}
+		if s.killed || len(s.queue) == 0 {
 			s.mu.Unlock()
 			return
 		}
@@ -486,6 +542,7 @@ func (s *Service) run() {
 				s.queue = s.queue[1:]
 			}
 			if len(expired) > 0 {
+				s.inflight = expired
 				mQueueDepth.Set(float64(s.queueLenLocked()))
 				s.mu.Unlock()
 				s.failTimeout(expired)
@@ -521,6 +578,7 @@ func (s *Service) run() {
 			batch = append([]*submission(nil), s.queue[:n]...)
 			s.queue = s.queue[n:]
 		}
+		s.inflight = batch
 		mQueueDepth.Set(float64(s.queueLenLocked()))
 		s.mu.Unlock()
 		s.decide(batch)
@@ -545,30 +603,145 @@ func (s *Service) failTimeout(subs []*submission) {
 			mDecisions.With(string(StatusQueueTimeout)).Inc()
 		}
 		mQueueTimeouts.Add(int64(len(sub.reqs)))
+		s.publish(decidedBatch{subs: []*submission{sub}, ids: sub.ids, decs: decs})
+	}
+}
+
+// decidedBatch is one decided batch on its way to being published.
+type decidedBatch struct {
+	sig          string // canonical batch signature, "" when not memoizable
+	subs         []*submission
+	ids          []string
+	decs         []Decision   // decs[i] answers ids[i]
+	hits, misses int64        // decision-memo accounting for Stats
+	jspans       []trace.Span // grantd.journal spans: record written → durable
+}
+
+// publish journals a decided batch, makes its decisions observable, and
+// releases its waiters — in that order, so a decision the caller observed
+// survives a crash. Under FsyncBatch the batch joins the open commit group
+// instead: its dec record is written here, under the mutex, and the
+// committer publishes it after the sync that covers it.
+func (s *Service) publish(b decidedBatch) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.inflight = s.inflight[len(b.subs):]
+	if s.j != nil {
+		// Journal the decided batch before anyone can observe it. A failed
+		// append only loses restart latency, not correctness: recovery
+		// re-decides the still-journaled submission deterministically, so
+		// the decision degrades to a metric instead of an error.
+		b.jspans = make([]trace.Span, len(b.subs))
+		for bi, sub := range b.subs {
+			b.jspans[bi] = s.tracer.StartChild(sub.tc, "grantd.journal")
+			b.jspans[bi].SetService("grantd")
+		}
+		s.j.appendDec(b.sig, b.ids, b.decs) // append counts its own failures
+		if s.j.policy == FsyncBatch {
+			s.staged = append(s.staged, b)
+			s.commitCond.Signal()
+			return
+		}
+	}
+	s.publishLocked(b)
+	if s.j != nil && s.j.needCheckpoint() {
+		s.rotateLocked()
+	}
+}
+
+// commitLoop is the committer: it closes the open commit group on the
+// journal's commit cadence, syncs the journal once for the whole group
+// outside the service mutex, and then publishes the group's decisions. The
+// (rare) checkpoint comes after the release: the group's dec records are
+// already durable and its waiters have no use for the snapshot.
+func (s *Service) commitLoop() {
+	for {
 		s.mu.Lock()
-		if s.j != nil {
-			s.j.appendDec("", sub.ids, decs) // append counts its own failures
+		for len(s.staged) == 0 && !s.drained && !s.killed {
+			s.commitCond.Wait()
 		}
-		for i, id := range sub.ids {
-			delete(s.subs, id)
-			s.decided[id] = &decs[i]
-			s.order = append(s.order, id)
-			s.stats.Decided++
-			s.stats.QueueTimeouts++
-		}
-		for len(s.order) > s.opts.Retain {
-			delete(s.decided, s.order[0])
-			s.order = s.order[1:]
+		if s.killed || len(s.staged) == 0 {
+			s.mu.Unlock()
+			return
 		}
 		s.mu.Unlock()
+		s.j.awaitCommitSlot()
+		s.mu.Lock()
+		if s.killed {
+			s.mu.Unlock()
+			return
+		}
+		group := s.staged
+		s.staged = nil
+		s.mu.Unlock()
+		s.j.commit() // counts its own failures
+		s.mu.Lock()
+		if s.killed {
+			s.mu.Unlock()
+			return
+		}
+		for _, b := range group {
+			s.publishLocked(b)
+		}
+		if s.j.needCheckpoint() {
+			// Batches staged during the sync are in neither the queue nor the
+			// decided table, so the snapshot would miss them: commit them
+			// first. The mutex is held, so nothing stages behind them.
+			if len(s.staged) > 0 {
+				s.j.commit()
+				for _, b := range s.staged {
+					s.publishLocked(b)
+				}
+				s.staged = nil
+			}
+			s.rotateLocked()
+		}
+		s.mu.Unlock()
+	}
+}
+
+// publishLocked makes a journaled batch's decisions observable and releases
+// its waiters. s.mu must be held.
+func (s *Service) publishLocked(b decidedBatch) {
+	for bi := range b.jspans {
+		b.jspans[bi].Finish()
+	}
+	off := 0
+	for _, sub := range b.subs {
+		sub.decs = b.decs[off : off+len(sub.ids)]
+		off += len(sub.ids)
+	}
+	for i, id := range b.ids {
+		delete(s.subs, id)
+		s.decided[id] = &b.decs[i]
+		s.order = append(s.order, id)
+	}
+	s.stats.countDecided(b.decs)
+	s.stats.MemoHits += b.hits
+	s.stats.MemoMisses += b.misses
+	for len(s.order) > s.opts.Retain {
+		delete(s.decided, s.order[0])
+		s.order = s.order[1:]
+	}
+	for _, sub := range b.subs {
 		mDecisionSeconds.ObserveSince(sub.enqueued)
 		sub.finishRoot()
 		close(sub.done)
 	}
 }
 
+// rotateLocked snapshots the service into a new journal generation. A
+// failed rotation is counted by the journal, leaves the current generation
+// as the replay source and is retried later, so there is nothing for the
+// decider to do with the error. s.mu must be held.
+func (s *Service) rotateLocked() {
+	_ = s.j.checkpoint(s.snapshotLocked())
+}
+
 // snapshotLocked assembles the checkpoint record: the decided retention
-// ring plus everything still queued. s.mu must be held.
+// ring plus everything accepted and not yet decided — what the decider is
+// working on, then the queue behind it. The caller has emptied the commit
+// group. s.mu must be held.
 func (s *Service) snapshotLocked() *walCkpt {
 	ck := &walCkpt{Seq: s.seq, Stats: s.stats}
 	for _, id := range s.order {
@@ -576,8 +749,10 @@ func (s *Service) snapshotLocked() *walCkpt {
 			ck.Decided = append(ck.Decided, walDecided{ID: id, Dec: *d})
 		}
 	}
-	for _, sub := range s.queue {
-		ck.Pending = append(ck.Pending, walSub{IDs: sub.ids, Reqs: sub.reqs})
+	for _, pending := range [][]*submission{s.inflight, s.queue} {
+		for _, sub := range pending {
+			ck.Pending = append(ck.Pending, walSub{IDs: sub.ids, Reqs: sub.reqs})
+		}
 	}
 	return ck
 }
@@ -703,57 +878,11 @@ func (s *Service) decide(batch []*submission) {
 		off += len(sub.ids)
 	}
 
-	s.mu.Lock()
-	if s.j != nil {
-		// Journal the decided batch before anyone can observe it. A failed
-		// append only loses restart latency, not correctness: recovery
-		// re-decides the still-journaled submission deterministically, so
-		// the decision degrades to a metric instead of an error.
-		jspans := make([]trace.Span, len(batch))
-		for bi, sub := range batch {
-			jspans[bi] = s.tracer.StartChild(sub.tc, "grantd.journal")
-			jspans[bi].SetService("grantd")
-		}
-		s.j.appendDec(sig, ids, decs)
-		for bi := range jspans {
-			jspans[bi].Finish()
-		}
-	}
-	for i := range decs {
-		id := ids[i]
-		delete(s.subs, id)
-		s.decided[id] = &decs[i]
-		s.order = append(s.order, id)
-		s.stats.Decided++
-		switch decs[i].Status {
-		case StatusApproved:
-			s.stats.Approved++
-		case StatusNegotiated:
-			s.stats.Negotiated++
-		case StatusRejected:
-			s.stats.Rejected++
-		default:
-			s.stats.Errors++
-		}
-	}
-	s.stats.Batches++
+	b := decidedBatch{sig: sig, subs: batch, ids: ids, decs: decs}
 	if hit {
-		s.stats.MemoHits += int64(len(reqs))
+		b.hits = int64(len(reqs))
 	} else {
-		s.stats.MemoMisses += int64(len(reqs))
+		b.misses = int64(len(reqs))
 	}
-	for len(s.order) > s.opts.Retain {
-		delete(s.decided, s.order[0])
-		s.order = s.order[1:]
-	}
-	if s.j != nil && s.j.needCheckpoint() {
-		s.j.checkpoint(s.snapshotLocked())
-	}
-	s.mu.Unlock()
-
-	for _, sub := range batch {
-		mDecisionSeconds.ObserveSince(sub.enqueued)
-		sub.finishRoot()
-		close(sub.done)
-	}
+	s.publish(b)
 }
