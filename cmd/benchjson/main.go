@@ -27,6 +27,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"sort"
 	"testing"
 	"time"
@@ -43,12 +44,17 @@ type assessBench struct {
 	WarmP50Ns  int64 `json:"warm_p50_ns"`
 	DeltaP50Ns int64 `json:"delta_p50_ns"`
 	// DeltaSpeedupOverCold is cold_p50 / delta_p50; TestDeltaSpeedup pins
-	// this ratio >= 10 in CI.
+	// this ratio >= 3 in CI.
 	DeltaSpeedupOverCold float64 `json:"delta_speedup_over_cold"`
 	WarmSpeedupOverCold  float64 `json:"warm_speedup_over_cold"`
 	// DeltaResimulated / TotalSlots is the work ratio behind the speedup.
 	DeltaResimulated int `json:"delta_resimulated_scenarios"`
 	TotalSlots       int `json:"total_scenario_slots"`
+	// DistinctStates is the allocator runs of a cold pass — the distinct
+	// failure states among TotalSlots — and RoutedStates those of the delta
+	// pass, among its DeltaResimulated slots.
+	DistinctStates int `json:"distinct_states"`
+	RoutedStates   int `json:"routed_states"`
 }
 
 type allocateBench struct {
@@ -64,7 +70,19 @@ type report struct {
 	Allocate    allocateBench `json:"allocate"`
 }
 
+// host records the measuring machine in every BENCH file's workload block:
+// the timings beside it mean nothing without the core count they ran on.
+type host struct {
+	NProc      int `json:"nproc"`
+	GOMAXPROCS int `json:"GOMAXPROCS"`
+}
+
+func measuredOn() host {
+	return host{NProc: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0)}
+}
+
 type workload struct {
+	host
 	Regions       int `json:"regions"`
 	Links         int `json:"links"`
 	Demands       int `json:"demands"`
@@ -127,14 +145,16 @@ func run(out string, samples, scenarios int) error {
 	}
 
 	var colds, warms, deltas []time.Duration
-	var lastDelta *risk.Result
+	var lastCold, lastDelta *risk.Result
 	for s := 0; s < samples; s++ {
 		// Cold: no cache at all.
 		start := time.Now()
-		if _, err := risk.Assess(topo, demands, opts); err != nil {
+		res, err := risk.Assess(topo, demands, opts)
+		if err != nil {
 			return err
 		}
 		colds = append(colds, time.Since(start))
+		lastCold = res
 
 		// Warm: fill a fresh cache, then time the pure replay.
 		cached := opts
@@ -156,7 +176,7 @@ func run(out string, samples, scenarios int) error {
 			}
 		}
 		start = time.Now()
-		res, err := risk.Assess(topo, demands, cached)
+		res, err = risk.Assess(topo, demands, cached)
 		if err != nil {
 			return err
 		}
@@ -181,6 +201,7 @@ func run(out string, samples, scenarios int) error {
 	rep := report{
 		GeneratedBy: "make bench-json (cmd/benchjson)",
 		Workload: workload{
+			host:    measuredOn(),
 			Regions: topo.NumRegions(), Links: topo.NumLinks(),
 			Demands: len(demands), Scenarios: scenarios,
 			MutatedLinks: nTouch, AssessSamples: samples,
@@ -193,6 +214,8 @@ func run(out string, samples, scenarios int) error {
 			WarmSpeedupOverCold:  round1(float64(coldP50) / float64(warmP50)),
 			DeltaResimulated:     lastDelta.Resimulated,
 			TotalSlots:           lastDelta.Resimulated + lastDelta.Spliced,
+			DistinctStates:       lastCold.Routed,
+			RoutedStates:         lastDelta.Routed,
 		},
 		Allocate: allocateBench{
 			NsPerOp:     alloc.NsPerOp(),
@@ -240,6 +263,7 @@ type sloBench struct {
 }
 
 type sloWorkload struct {
+	host
 	EvaluateSeries  int `json:"evaluate_series"`
 	EvaluateSamples int `json:"evaluate_timing_samples"`
 	IncidentTicks   int `json:"incident_capture_ticks"`
@@ -346,6 +370,7 @@ func runSLO(out string, samples int) error {
 	rep := sloReport{
 		GeneratedBy: "make bench-json (cmd/benchjson)",
 		Workload: sloWorkload{
+			host:            measuredOn(),
 			EvaluateSeries:  nSeries,
 			EvaluateSamples: len(evals),
 			IncidentTicks:   ticks,
@@ -449,6 +474,7 @@ type traceBench struct {
 
 type traceReport struct {
 	GeneratedBy string     `json:"generated_by"`
+	Workload    host       `json:"workload"`
 	BudgetNs    int64      `json:"budget_ns_per_half"`
 	Trace       traceBench `json:"trace"`
 }
@@ -527,6 +553,7 @@ func runTrace(out string) error {
 	}
 	rep := traceReport{
 		GeneratedBy: "make bench-json (cmd/benchjson)",
+		Workload:    measuredOn(),
 		BudgetNs:    200,
 		Trace: traceBench{
 			SpanStartNsPerOp:     start.NsPerOp(),

@@ -39,6 +39,7 @@ type wireBench struct {
 
 type wireReport struct {
 	GeneratedBy string    `json:"generated_by"`
+	Workload    host      `json:"workload"`
 	Wire        wireBench `json:"wire"`
 }
 
@@ -109,6 +110,7 @@ func runWire(out string) error {
 	}
 	rep := wireReport{
 		GeneratedBy: "make bench-json (cmd/benchjson)",
+		Workload:    measuredOn(),
 		Wire: wireBench{
 			PayloadBinaryNsPerOp:     bin.NsPerOp(),
 			PayloadBinaryAllocsPerOp: bin.AllocsPerOp(),

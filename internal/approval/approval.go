@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 
 	"entitlement/internal/contract"
 	"entitlement/internal/flow"
@@ -189,25 +190,30 @@ func Approve(topo *topology.Topology, hoses []hose.Request, opts Options) (*Resu
 		perTM[i] = make([]float64, 0, o.RepresentativeTMs)
 	}
 
+	hoseKeys := make([]string, len(hoses))
+	for i := range hoses {
+		hoseKeys[i] = hoses[i].Key()
+	}
+
 	for k := 0; k < o.RepresentativeTMs; k++ {
 		demands := make([]flow.Demand, 0, len(hoses)*4)
-		// pipeOwner maps demand key → owning hose indexes (a joint pipe
+		// pipeOwner[d] lists the hose indexes owning demands[d] (a joint pipe
 		// counts toward its source's egress hose and destination's ingress
 		// hose).
-		pipeOwner := make(map[string][]int)
-		pipeRate := make(map[string]float64)
+		pipeOwner := make([][]int, 0, len(hoses)*4)
 		addDemand := func(key string, src, dst topology.Region, rate float64, class contract.Class, owners ...int) {
 			demands = append(demands, flow.Demand{
 				Key: key, Src: src, Dst: dst, Rate: rate, Class: int(class),
 			})
-			pipeOwner[key] = owners
-			pipeRate[key] = rate
+			pipeOwner = append(pipeOwner, owners)
 		}
+		tmTag := "#" + strconv.Itoa(k) + "/"
 		for i := range hoses {
 			if jointOf[i] >= 0 {
 				continue // produced by the joint sampler below
 			}
 			h := &hoses[i]
+			keyPrefix := hoseKeys[i] + tmTag
 			tm := samplers[i].Representative()
 			for _, dst := range sortedRegions(tm.Rates) {
 				rate := tm.Rates[dst]
@@ -218,8 +224,7 @@ func Approve(topo *topology.Topology, hoses []hose.Request, opts Options) (*Resu
 				if h.Direction == contract.Ingress {
 					src, dstR = dst, h.Region
 				}
-				key := fmt.Sprintf("%s#%d/%s>%s", h.Key(), k, src, dstR)
-				addDemand(key, src, dstR, rate, h.Class, i)
+				addDemand(keyPrefix+string(src)+">"+string(dstR), src, dstR, rate, h.Class, i)
 			}
 		}
 		for g, js := range jointSamplers {
@@ -239,6 +244,7 @@ func Approve(topo *topology.Topology, hoses []hose.Request, opts Options) (*Resu
 			tm := js.Sample(1)
 			class := hoses[members[0]].Class
 			npg := hoses[members[0]].NPG
+			keyPrefix := "joint/" + string(npg) + "/" + class.String() + tmTag
 			for _, p := range tm.Pipes(npg, class) {
 				var owners []int
 				if v := byRegionDir[p.Src]; v[0] > 0 {
@@ -247,8 +253,7 @@ func Approve(topo *topology.Topology, hoses []hose.Request, opts Options) (*Resu
 				if v := byRegionDir[p.Dst]; v[1] > 0 {
 					owners = append(owners, v[1]-1)
 				}
-				key := fmt.Sprintf("joint/%s/%s#%d/%s>%s", npg, class, k, p.Src, p.Dst)
-				addDemand(key, p.Src, p.Dst, p.Rate, class, owners...)
+				addDemand(keyPrefix+string(p.Src)+">"+string(p.Dst), p.Src, p.Dst, p.Rate, class, owners...)
 			}
 		}
 		riskOpts := o.Risk
@@ -264,18 +269,18 @@ func Approve(topo *topology.Topology, hoses []hose.Request, opts Options) (*Resu
 			return nil, err
 		}
 		volume := make([]float64, len(hoses))
-		for _, d := range demands {
-			for _, i := range pipeOwner[d.Key] {
+		for di, d := range demands {
+			for _, i := range pipeOwner[di] {
 				slo := o.slo(hoses[i].NPG)
 				guaranteed := res.GuaranteedRate(d.Key, slo)
-				if guaranteed > pipeRate[d.Key] {
-					guaranteed = pipeRate[d.Key]
+				if guaranteed > d.Rate {
+					guaranteed = d.Rate
 				}
 				volume[i] += guaranteed
 				// Relative tolerance: an absolute epsilon is meaningless
 				// against 1e11-scale rates (ordinary float accumulation in
 				// the water-filling loop exceeds it).
-				if guaranteed < pipeRate[d.Key]-bwTolApproval(pipeRate[d.Key]) {
+				if guaranteed < d.Rate-bwTolApproval(d.Rate) {
 					fullOK[i] = false
 				}
 			}
@@ -307,7 +312,7 @@ func Approve(topo *topology.Topology, hoses []hose.Request, opts Options) (*Resu
 			ApprovedRate:  approved,
 			FullyApproved: fullOK[i] && approved >= hoses[i].Rate-bwTolApproval(hoses[i].Rate),
 		}
-		result.ByKey[hoses[i].Key()] = &result.Approvals[i]
+		result.ByKey[hoseKeys[i]] = &result.Approvals[i]
 	}
 	return result, nil
 }

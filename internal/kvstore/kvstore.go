@@ -12,6 +12,7 @@ package kvstore
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -245,6 +246,21 @@ func (s *Server) Close() error {
 	return err
 }
 
+// ttlFromMillis converts a wire TTL, clamping what would overflow
+// time.Duration: the product wraps to an arbitrary sign, which would turn a
+// huge TTL into "no expiry" or into a short one, and a hugely negative one
+// (no expiry) into an expiry.
+func ttlFromMillis(ms int64) time.Duration {
+	const maxMs = int64(math.MaxInt64 / time.Millisecond)
+	switch {
+	case ms <= 0:
+		return 0
+	case ms > maxMs:
+		return math.MaxInt64
+	}
+	return time.Duration(ms) * time.Millisecond
+}
+
 func (s *Server) handle(tc trace.Context, method string, p wire.Payload) (reply interface{}, err error) {
 	mRequests.With(method).Inc()
 	defer func() {
@@ -265,7 +281,7 @@ func (s *Server) handle(tc trace.Context, method string, p wire.Payload) (reply 
 			putPool.Put(a)
 			return nil, err
 		}
-		err := s.store.Put(a.Key, a.Value, time.Duration(a.TTLMs)*time.Millisecond)
+		err := s.store.Put(a.Key, a.Value, ttlFromMillis(a.TTLMs))
 		*a = schemav1.KVPut{}
 		putPool.Put(a)
 		return nil, err
@@ -355,6 +371,12 @@ func (c *Client) SetSpan(ctx trace.Context) { c.c.SetSpan(ctx) }
 func (c *Client) Put(key string, value float64, ttl time.Duration) error {
 	a := putPool.Get().(*schemav1.KVPut)
 	a.Key, a.Value, a.TTLMs = key, value, ttl.Milliseconds()
+	if ttl > 0 && a.TTLMs == 0 {
+		// The wire unit is a millisecond and 0 means "no expiry": a TTL
+		// below it must round up, not truncate to the opposite of what the
+		// caller asked for.
+		a.TTLMs = 1
+	}
 	err := c.c.Call("put", a, nil)
 	*a = schemav1.KVPut{}
 	putPool.Put(a)

@@ -1,8 +1,10 @@
 package kvstore
 
 import (
+	"math"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -256,5 +258,88 @@ func TestServerCloseStopsCompactionIdempotently(t *testing.T) {
 	}
 	if err := srv.Close(); err != nil {
 		t.Errorf("second close: %v", err)
+	}
+}
+
+// TestTTLParityStoreVsClient: a Put through the client must expire when the
+// same Put made directly on a Store does, at the wire's millisecond
+// granularity — on one injected clock, so nothing depends on real time. A
+// positive TTL below a millisecond used to truncate to 0 on the wire, which
+// the server stores as "no expiry".
+func TestTTLParityStoreVsClient(t *testing.T) {
+	var offset atomic.Int64 // nanoseconds past the base; read by server goroutines
+	base := time.Unix(1000, 0)
+	clock := func() time.Time { return base.Add(time.Duration(offset.Load())) }
+
+	direct := NewWithClock(clock)
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	remote := NewWithClock(clock)
+	srv := NewServer(l, remote)
+	defer srv.Close()
+	c, err := Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	ttls := map[string]time.Duration{
+		"forever":  0,
+		"negative": -time.Second,
+		"sub-ms":   300 * time.Microsecond,
+		"one-ns":   1,
+		"ms":       time.Millisecond,
+		"long":     10 * time.Second,
+		"max":      math.MaxInt64,
+	}
+	for key, ttl := range ttls {
+		if err := direct.Put(key, 1, ttl); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Put(key, 1, ttl); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Checked only at instants a whole millisecond past an expiry either
+	// side could have computed, so rounding on the wire cannot show.
+	for _, at := range []time.Duration{0, 2 * time.Millisecond, 11 * time.Second, 200 * 365 * 24 * time.Hour} {
+		offset.Store(int64(at))
+		for key := range ttls {
+			_, want, _ := direct.Get(key)
+			_, got, err := c.Get(key)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Errorf("at +%v key %q (ttl %v): present over the wire = %v, in process = %v", at, key, ttls[key], got, want)
+			}
+		}
+	}
+	offset.Store(int64(2 * time.Millisecond))
+	if _, ok, _ := c.Get("sub-ms"); ok {
+		t.Error("a 300µs TTL put through the client never expires")
+	}
+}
+
+// TestServerClampsWireTTL: TTLMs is an int64 of milliseconds chosen by the
+// peer; converting it to a Duration must not wrap.
+func TestServerClampsWireTTL(t *testing.T) {
+	const maxMs = math.MaxInt64 / 1_000_000 // the most milliseconds a Duration holds
+	for ms, want := range map[int64]time.Duration{
+		0:             0,
+		-1:            0,
+		math.MinInt64: 0,
+		-maxMs - 7:    0, // ×1e6 wraps to a positive duration
+		1:             time.Millisecond,
+		30000:         30 * time.Second,
+		maxMs:         maxMs * time.Millisecond,
+		maxMs + 1:     math.MaxInt64, // ×1e6 wraps negative: "no expiry"
+		math.MaxInt64: math.MaxInt64,
+	} {
+		if got := ttlFromMillis(ms); got != want {
+			t.Errorf("ttlFromMillis(%d) = %v, want %v", ms, got, want)
+		}
 	}
 }

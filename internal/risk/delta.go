@@ -7,6 +7,11 @@
 // states reproduces exactly the states a fresh SampleStates would draw — so a
 // spliced assessment is byte-identical to a full recompute.
 //
+// The sampled states depend on (topology, epoch, seed, scenarios) but not on
+// the demands, so entries filled at the same epoch with the same seed share
+// one scenarioSet (states plus class partition) instead of each re-drawing
+// it; an entry clones the set only when a delta is about to patch it.
+//
 // Dirty rules per mutation class (see DESIGN.md §10 for the derivation):
 //
 //   - region add: nothing dirty — no link changed, routing unaffected.
@@ -18,13 +23,16 @@
 //     down link carries nothing, so those scenarios splice).
 //   - the forced all-up slot is re-simulated on every link-touching delta
 //     (one scenario; not worth a finer rule).
+//
+// The dirty slots are then routed one representative per class of equal
+// patched states (evalSlots), so a delta never routes more states than a
+// cold pass over the same slots would.
 package risk
 
 import (
 	"container/list"
-	"fmt"
 	"math"
-	"strings"
+	"strconv"
 	"sync"
 
 	"entitlement/internal/flow"
@@ -43,19 +51,21 @@ type ResultCache struct {
 	mu    sync.Mutex
 	max   int
 	lru   *list.List // front = most recently used; values are *resultEntry
-	byKey map[string]*list.Element
+	byKey map[assessID]*list.Element
 }
 
 // resultEntry is one cached assessment: the exact sampled states it was
-// computed from (patched in place on delta re-assessment) and the
-// per-demand, per-slot admitted-bandwidth columns.
+// computed from — possibly shared with other entries, and patched (after a
+// clone if shared) on delta re-assessment, so set always holds what
+// SampleStates(topo, seed) would draw at epoch — and the per-demand, per-slot
+// admitted-bandwidth columns.
 type resultEntry struct {
-	key    string
-	topo   *topology.Topology
+	id     assessID
 	epoch  uint64
+	seed   int64
 	offset int
 	total  int
-	states []*topology.FailureState
+	set    *scenarioSet
 	cols   [][]float64
 }
 
@@ -71,7 +81,7 @@ func NewResultCache(max int) *ResultCache {
 	if max <= 0 {
 		max = DefaultResultCacheEntries
 	}
-	return &ResultCache{max: max, lru: list.New(), byKey: make(map[string]*list.Element)}
+	return &ResultCache{max: max, lru: list.New(), byKey: make(map[assessID]*list.Element)}
 }
 
 // Len reports the number of cached assessments (for tests and stats).
@@ -81,18 +91,39 @@ func (c *ResultCache) Len() int {
 	return c.lru.Len()
 }
 
-// assessKey renders the identity of an assessment: topology instance,
-// sampling and allocation options, and the full demand list. Workers is
-// excluded — worker count never changes results.
-func assessKey(topo *topology.Topology, demands []flow.Demand, opts Options) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%p|%d|%t|%d|%d|%x|", topo, opts.Scenarios, opts.SkipAllUp,
-		opts.Seed, opts.Alloc.Rounds, math.Float64bits(opts.Alloc.MaxPathLen))
+// assessID is the identity of an assessment: the topology instance plus a
+// rendering of the sampling and allocation options and the full demand list.
+// Workers is excluded — worker count never changes results.
+type assessID struct {
+	topo *topology.Topology
+	rest string
+}
+
+func newAssessID(topo *topology.Topology, demands []flow.Demand, opts Options) assessID {
+	b := make([]byte, 0, 64+64*len(demands))
+	b = strconv.AppendInt(b, int64(opts.Scenarios), 10)
+	b = append(b, '|')
+	b = strconv.AppendBool(b, opts.SkipAllUp)
+	b = append(b, '|')
+	b = strconv.AppendInt(b, opts.Seed, 10)
+	b = append(b, '|')
+	b = strconv.AppendInt(b, int64(opts.Alloc.Rounds), 10)
+	b = append(b, '|')
+	b = strconv.AppendUint(b, math.Float64bits(opts.Alloc.MaxPathLen), 16)
+	b = append(b, '|')
 	for _, d := range demands {
-		fmt.Fprintf(&b, "%s\x00%s\x00%s\x00%x\x00%d\x1f", d.Key, d.Src, d.Dst,
-			math.Float64bits(d.Rate), d.Class)
+		b = append(b, d.Key...)
+		b = append(b, 0)
+		b = append(b, d.Src...)
+		b = append(b, 0)
+		b = append(b, d.Dst...)
+		b = append(b, 0)
+		b = strconv.AppendUint(b, math.Float64bits(d.Rate), 16)
+		b = append(b, 0)
+		b = strconv.AppendInt(b, int64(d.Class), 10)
+		b = append(b, 0x1f)
 	}
-	return b.String()
+	return assessID{topo: topo, rest: string(b)}
 }
 
 // assess is the Options.Cache entry point, reached from Assess with
@@ -103,14 +134,14 @@ func (c *ResultCache) assess(topo *topology.Topology, demands []flow.Demand, opt
 	opts.Cache = nil
 	opts.States = nil
 	opts.StatesFor = nil
-	key := assessKey(topo, demands, opts)
+	id := newAssessID(topo, demands, opts)
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.byKey[key]
+	el, ok := c.byKey[id]
 	if !ok {
 		mResultCacheMisses.Inc()
-		return c.fillLocked(key, topo, demands, opts), nil
+		return c.fillLocked(id, demands, opts), nil
 	}
 	c.lru.MoveToFront(el)
 	e := el.Value.(*resultEntry)
@@ -119,67 +150,92 @@ func (c *ResultCache) assess(topo *topology.Topology, demands []flow.Demand, opt
 		// Pure replay: nothing changed, nothing is routed.
 		mResultCacheHits.Inc()
 		mDeltaSpliced.Add(int64(e.total))
-		return buildResult(demands, e.cols, 0, e.total), nil
+		return buildResult(demands, e.cols, 0, e.total, 0), nil
 	}
 	delta, ok := topo.DeltaSince(e.epoch)
 	if !ok {
 		// Journal truncated past the entry's epoch: recompute wholesale.
 		mResultCacheMisses.Inc()
 		c.removeLocked(el)
-		return c.fillLocked(key, topo, demands, opts), nil
+		return c.fillLocked(id, demands, opts), nil
 	}
 	mResultCacheHits.Inc()
 	if !delta.TouchesLinks() {
 		// Region-only (or empty) delta: every scenario splices.
 		e.epoch = now
 		mDeltaSpliced.Add(int64(e.total))
-		return buildResult(demands, e.cols, 0, e.total), nil
+		return buildResult(demands, e.cols, 0, e.total, 0), nil
 	}
-	dirty := patchStates(topo, e, delta, opts.Seed)
+	dirty := patchStates(topo, e, delta)
 	slots := make([]int, 0, len(dirty))
 	for slot, d := range dirty {
 		if d {
 			slots = append(slots, slot)
 		}
 	}
-	evalSlots(topo, demands, opts, e.states, e.cols, e.offset, slots)
+	routed := evalSlots(topo, demands, opts, e.set, e.cols, e.offset, slots)
 	e.epoch = now
 	mDeltaResimulated.Add(int64(len(slots)))
 	mDeltaSpliced.Add(int64(e.total - len(slots)))
-	return buildResult(demands, e.cols, len(slots), e.total-len(slots)), nil
+	return buildResult(demands, e.cols, len(slots), e.total-len(slots), routed), nil
 }
 
 // fillLocked runs a full assessment, caches it, and returns the result.
-func (c *ResultCache) fillLocked(key string, topo *topology.Topology, demands []flow.Demand, opts Options) *Result {
+func (c *ResultCache) fillLocked(id assessID, demands []flow.Demand, opts Options) *Result {
+	topo := id.topo
 	epoch := topo.Epoch()
-	states := SampleStates(topo, opts)
+	set := c.sharedSetLocked(topo, epoch, opts)
+	if set == nil {
+		set = &scenarioSet{states: SampleStates(topo, opts), owners: 1}
+	}
 	offset, total := slotLayout(opts)
 	cols := newColumns(len(demands), total)
-	evalSlots(topo, demands, opts, states, cols, offset, allSlots(total))
+	routed := evalSlots(topo, demands, opts, set, cols, offset, allSlots(total))
 	e := &resultEntry{
-		key: key, topo: topo, epoch: epoch,
-		offset: offset, total: total, states: states, cols: cols,
+		id: id, epoch: epoch, seed: opts.Seed,
+		offset: offset, total: total, set: set, cols: cols,
 	}
-	c.byKey[key] = c.lru.PushFront(e)
+	c.byKey[id] = c.lru.PushFront(e)
 	for c.lru.Len() > c.max {
 		c.removeLocked(c.lru.Back())
 		mResultCacheEvictions.Inc()
 	}
 	mDeltaResimulated.Add(int64(total))
-	return buildResult(demands, cols, total, 0)
+	return buildResult(demands, cols, total, 0, routed)
+}
+
+// sharedSetLocked returns, with one more owner, the scenario set of a cached
+// entry that already holds what SampleStates(topo, opts) would draw now: same
+// topology at the same epoch, same seed and scenario count (an entry's set is
+// always current as of its epoch). A granting service decides every batch
+// with the same few seeds, so after the first decision of an epoch no miss
+// samples again.
+func (c *ResultCache) sharedSetLocked(topo *topology.Topology, epoch uint64, opts Options) *scenarioSet {
+	for el := c.lru.Front(); el != nil; el = el.Next() {
+		e := el.Value.(*resultEntry)
+		if e.id.topo == topo && e.epoch == epoch && e.seed == opts.Seed && len(e.set.states) == opts.Scenarios {
+			e.set.owners++
+			return e.set
+		}
+	}
+	return nil
 }
 
 func (c *ResultCache) removeLocked(el *list.Element) {
-	delete(c.byKey, el.Value.(*resultEntry).key)
+	e := el.Value.(*resultEntry)
+	e.set.owners--
+	delete(c.byKey, e.id)
 	c.lru.Remove(el)
 }
 
-// patchStates updates the entry's cached failure states for the mutation
-// delta and returns the per-slot dirty mask. Untouched links keep their
-// original bits, which equal a fresh draw's bits because the per-link hash
-// inputs are unchanged; touched links are redrawn with LinkDownAt, the same
-// predicate SampleFailureAt evaluates.
-func patchStates(topo *topology.Topology, e *resultEntry, delta *topology.Delta, seed int64) []bool {
+// patchStates updates the entry's failure states for the mutation delta and
+// returns the per-slot dirty mask. Untouched links keep their original bits,
+// which equal a fresh draw's bits because the per-link hash inputs are
+// unchanged; touched links are redrawn with LinkDownAt, the same predicate
+// SampleFailureAt evaluates. A delta that can change bits first takes the
+// entry off a shared set; one that did change bits drops the set's partition,
+// so evalSlots classifies the dirty slots from the patched states.
+func patchStates(topo *topology.Topology, e *resultEntry, delta *topology.Delta) []bool {
 	dirty := make([]bool, e.total)
 	if e.offset == 1 {
 		// The forced all-up state is recomputed by evalSlots from the live
@@ -187,32 +243,44 @@ func patchStates(topo *topology.Topology, e *resultEntry, delta *topology.Delta,
 		// its routing (capacities, new links).
 		dirty[0] = true
 	}
-	nl := topo.NumLinks()
-	for _, st := range e.states {
-		for len(st.Down) < nl {
-			st.Down = append(st.Down, false)
+	if len(delta.AddedLinks) > 0 || len(delta.SampleTouched) > 0 {
+		if e.set.owners > 1 {
+			e.set.owners--
+			e.set = e.set.clone()
 		}
-	}
-	for _, id := range delta.AddedLinks {
-		for j, st := range e.states {
-			down := topo.LinkDownAt(seed, j, id)
-			st.Down[id] = down
-			if !down {
-				dirty[j+e.offset] = true
+		states := e.set.states
+		nl := topo.NumLinks()
+		for _, st := range states {
+			for len(st.Down) < nl {
+				st.Down = append(st.Down, false)
 			}
 		}
-	}
-	for _, id := range delta.SampleTouched {
-		for j, st := range e.states {
-			down := topo.LinkDownAt(seed, j, id)
-			if down != st.Down[id] {
+		changed := len(delta.AddedLinks) > 0
+		for _, id := range delta.AddedLinks {
+			for j, st := range states {
+				down := topo.LinkDownAt(e.seed, j, id)
 				st.Down[id] = down
-				dirty[j+e.offset] = true
+				if !down {
+					dirty[j+e.offset] = true
+				}
 			}
+		}
+		for _, id := range delta.SampleTouched {
+			for j, st := range states {
+				down := topo.LinkDownAt(e.seed, j, id)
+				if down != st.Down[id] {
+					st.Down[id] = down
+					dirty[j+e.offset] = true
+					changed = true
+				}
+			}
+		}
+		if changed {
+			e.set.part = nil
 		}
 	}
 	for _, id := range delta.CapTouched {
-		for j, st := range e.states {
+		for j, st := range e.set.states {
 			if !st.Down[id] {
 				dirty[j+e.offset] = true
 			}

@@ -12,10 +12,14 @@
 // find the admittable volume ("the Pipe approval is calculated by finding
 // the flow volume associated with the desired SLO target").
 //
-// Scenarios are embarrassingly parallel: each scenario i derives its own RNG
-// from seed^mix(i) and writes its admitted-bandwidth samples into slot i of
-// per-demand sample columns, so the result is byte-identical for any worker
-// count (Options.Workers; 0 = GOMAXPROCS, 1 = serial).
+// Link failures are rare, so most sampled scenarios are the same failure
+// state (usually all-up). The allocator is a pure function of (state, demands,
+// options), so an assessment partitions its scenario slots into classes of
+// bit-for-bit equal states, routes one representative per class and copies
+// its admitted column to the class's other slots (see scenarioSet). Classes
+// are embarrassingly parallel: each representative writes only its own slot
+// of the per-demand sample columns, so the result is byte-identical for any
+// worker count (Options.Workers; 0 = GOMAXPROCS, 1 = serial).
 package risk
 
 import (
@@ -23,6 +27,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -100,8 +105,9 @@ type Options struct {
 	Seed      int64
 	// Workers is the scenario-evaluation parallelism: 0 uses
 	// runtime.GOMAXPROCS(0), 1 forces the serial path. Results are
-	// byte-identical for every value because each scenario owns a
-	// deterministic RNG and a dedicated output slot.
+	// byte-identical for every value because every scenario's state is a
+	// pure function of (Seed, scenario) and each routed state owns a
+	// dedicated output slot.
 	Workers int
 	Alloc   flow.AllocateOptions
 
@@ -160,11 +166,15 @@ func SampleStates(topo *topology.Topology, opts Options) []*topology.FailureStat
 // Result holds per-pipe availability curves from one assessment.
 type Result struct {
 	Curves map[string]*Curve // keyed by flow.Demand.Key
-	// Resimulated and Spliced report how many scenario slots were actually
-	// routed vs. spliced unchanged from a ResultCache entry. Outside cache
+	// Resimulated and Spliced report how many scenario slots were evaluated
+	// anew vs. spliced unchanged from a ResultCache entry. Outside cache
 	// use, Resimulated covers every slot and Spliced is 0.
 	Resimulated int
 	Spliced     int
+	// Routed is the number of allocator runs behind the Resimulated slots:
+	// one per distinct failure state among them, so Resimulated/Routed is
+	// the dedupe factor of the class partition.
+	Routed int
 }
 
 // Assess runs the Monte-Carlo risk simulation: for every sampled failure
@@ -192,15 +202,18 @@ func Assess(topo *topology.Topology, demands []flow.Demand, opts Options) (*Resu
 	if states == nil && opts.StatesFor != nil {
 		states = opts.StatesFor(topo, opts)
 	}
-	if states != nil && len(states) != opts.Scenarios {
+	if states == nil {
+		states = SampleStates(topo, opts)
+	}
+	if len(states) != opts.Scenarios {
 		return nil, fmt.Errorf("risk: precomputed States length %d does not match Scenarios %d (topology epoch %d)",
 			len(states), opts.Scenarios, topo.Epoch())
 	}
 
 	offset, total := slotLayout(opts)
 	cols := newColumns(len(demands), total)
-	evalSlots(topo, demands, opts, states, cols, offset, allSlots(total))
-	return buildResult(demands, cols, total, 0), nil
+	routed := evalSlots(topo, demands, opts, &scenarioSet{states: states}, cols, offset, allSlots(total))
+	return buildResult(demands, cols, total, 0, routed), nil
 }
 
 // checkDemandKeys rejects duplicate demand keys (each key owns one curve).
@@ -243,11 +256,12 @@ func allSlots(total int) []int {
 }
 
 // buildResult folds sample columns into availability curves.
-func buildResult(demands []flow.Demand, cols [][]float64, resimulated, spliced int) *Result {
+func buildResult(demands []flow.Demand, cols [][]float64, resimulated, spliced, routed int) *Result {
 	res := &Result{
 		Curves:      make(map[string]*Curve, len(demands)),
 		Resimulated: resimulated,
 		Spliced:     spliced,
+		Routed:      routed,
 	}
 	for i, d := range demands {
 		res.Curves[d.Key] = NewCurve(cols[i])
@@ -255,34 +269,159 @@ func buildResult(demands []flow.Demand, cols [][]float64, resimulated, spliced i
 	return res
 }
 
-// evalSlots routes the demands under the given scenario slots, writing each
-// demand's admitted bandwidth into cols[di][slot]. Slots not listed keep
-// their prior column values (that is the splice). When states is nil,
-// sampled scenarios are drawn on the fly with topology.SampleFailureAt.
-// Slots fan out over Options.Workers goroutines, each holding its own
-// flow.Runner; the shared topology is only read.
-func evalSlots(topo *topology.Topology, demands []flow.Demand, opts Options, states []*topology.FailureState, cols [][]float64, offset int, slots []int) {
+// scenarioSet is the sampled failure states of one (topology, epoch, seed,
+// scenarios), plus — once a pass over all of them has computed it — their
+// class partition.
+type scenarioSet struct {
+	states []*topology.FailureState
+	// part partitions all of states, or is nil when that is not known (not yet
+	// computed, or dropped because patchStates changed bits). A partition is
+	// never written after it is built, so clones share it.
+	part *partition
+	// owners counts the ResultCache entries holding this set; the states of a
+	// set with more than one owner are immutable, and patchStates clones the
+	// set before writing them.
+	owners int
+}
+
+// partition groups failure states into classes of bit-for-bit equal Down
+// vectors. The allocator is a pure function of (state, demands, options), so
+// equal states admit equal bandwidth and one allocator run serves a class.
+type partition struct {
+	classOf []int32 // classOf[j] is the class of states[j], for the classified j
+	reps    []int32 // reps[c] is the first classified j in class c
+}
+
+// downBits returns a state's Down vector; a nil state (everything up,
+// disabled links included) has none, so it never equals a sampled state.
+func downBits(st *topology.FailureState) []bool {
+	if st == nil {
+		return nil
+	}
+	return st.Down
+}
+
+// classify partitions states[j] for the listed j. States are bucketed by a
+// hash of their Down vector, but membership is decided by comparing the
+// vectors themselves (length included), so a hash collision costs a
+// comparison and can never merge two different states.
+func classify(states []*topology.FailureState, listed []int) *partition {
+	p := &partition{classOf: make([]int32, len(states))}
+	byHash := make(map[uint64][]int32) // Down hash → classes with that hash
+	for _, j := range listed {
+		down := downBits(states[j])
+		h := hashDown(down)
+		c := int32(-1)
+		for _, cand := range byHash[h] {
+			if slices.Equal(downBits(states[p.reps[cand]]), down) {
+				c = cand
+				break
+			}
+		}
+		if c < 0 {
+			c = int32(len(p.reps))
+			p.reps = append(p.reps, int32(j))
+			byHash[h] = append(byHash[h], c)
+		}
+		p.classOf[j] = c
+	}
+	return p
+}
+
+// hashDown is FNV-1a over a Down vector and its length.
+func hashDown(down []bool) uint64 {
+	h := uint64(14695981039346656037) ^ uint64(len(down))
+	for _, d := range down {
+		if d {
+			h ^= 1
+		}
+		h *= 1099511628211
+	}
+	return h
+}
+
+// clone returns a single-owner copy whose states can be patched without
+// disturbing the entries still holding s.
+func (s *scenarioSet) clone() *scenarioSet {
+	c := &scenarioSet{states: make([]*topology.FailureState, len(s.states)), part: s.part, owners: 1}
+	for j, st := range s.states {
+		c.states[j] = &topology.FailureState{Down: slices.Clone(st.Down)}
+	}
+	return c
+}
+
+// evalSlots evaluates the given scenario slots, writing each demand's
+// admitted bandwidth into cols[di][slot], and returns the number of allocator
+// runs it took: the slots are grouped by failure-state class, one
+// representative per class is routed, and its column is copied to the class's
+// other listed slots. Slots not listed keep their prior column values (that
+// is the splice). The forced all-up slot joins the sampled class it equals bit
+// for bit, if any. Representatives fan out over Options.Workers goroutines,
+// each holding its own flow.Runner; the shared topology is only read.
+func evalSlots(topo *topology.Topology, demands []flow.Demand, opts Options, set *scenarioSet, cols [][]float64, offset int, slots []int) int {
 	// Build the dense adjacency once before fan-out so workers don't race
 	// to construct it (Dense is mutex-guarded, but pre-building keeps the
 	// parallel section contention-free).
 	topo.Dense()
 
-	evalScenario := func(r *flow.Runner, adm []float64, slot int) []float64 {
+	// The partition of the listed sampled slots: the set's own when it has
+	// one, else computed here — and kept on the set when this pass lists every
+	// sampled slot, so later passes over the same states skip the hashing.
+	part := set.part
+	if part == nil {
+		listed := make([]int, 0, len(slots))
+		for _, slot := range slots {
+			if slot >= offset {
+				listed = append(listed, slot-offset)
+			}
+		}
+		part = classify(set.states, listed)
+		if len(listed) == len(set.states) {
+			set.part = part
+		}
+	}
+
+	// repSlot[c] is the first listed slot of class c; the extra last class is
+	// the all-up state's own when no sampled state equals it.
+	var allUp *topology.FailureState
+	allUpClass := len(part.reps)
+	repSlot := make([]int, len(part.reps)+1)
+	for c := range repSlot {
+		repSlot[c] = -1
+	}
+	classOf := func(slot int) int {
+		if slot < offset {
+			return allUpClass
+		}
+		return int(part.classOf[slot-offset])
+	}
+	reps := make([]int, 0, len(repSlot))
+	for _, slot := range slots {
+		if slot < offset {
+			allUp = topo.AllUp()
+			for c, j := range part.reps {
+				if slices.Equal(downBits(set.states[j]), allUp.Down) {
+					allUpClass = c
+					break
+				}
+			}
+		}
+		if c := classOf(slot); repSlot[c] < 0 {
+			repSlot[c] = slot
+			reps = append(reps, slot)
+		}
+	}
+
+	route := func(r *flow.Runner, adm []float64, slot int) []float64 {
 		begin := time.Now()
-		var state *topology.FailureState
-		switch {
-		case offset == 1 && slot == 0:
-			state = topo.AllUp()
-		case states != nil:
-			state = states[slot-offset]
-		default:
-			state = topo.SampleFailureAt(opts.Seed, slot-offset)
+		state := allUp
+		if slot >= offset {
+			state = set.states[slot-offset]
 		}
 		adm = r.AllocateInto(state, demands, opts.Alloc, adm)
 		for di := range demands {
 			cols[di][slot] = adm[di]
 		}
-		mScenarios.Inc()
 		mScenarioSeconds.ObserveSince(begin)
 		return adm
 	}
@@ -291,8 +430,8 @@ func evalSlots(topo *topology.Topology, demands []flow.Demand, opts Options, sta
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(slots) {
-		workers = len(slots)
+	if workers > len(reps) {
+		workers = len(reps)
 	}
 	// Per-worker Runners come from the caller's pool when it is bound to
 	// this topology; otherwise they are built fresh. Either way Allocate
@@ -318,8 +457,8 @@ func evalSlots(topo *topology.Topology, demands []flow.Demand, opts Options, sta
 	if workers <= 1 {
 		r := getRunner()
 		var adm []float64
-		for _, slot := range slots {
-			adm = evalScenario(r, adm, slot)
+		for _, slot := range reps {
+			adm = route(r, adm, slot)
 		}
 		putRunner(r)
 		busyNanos = time.Since(assessStart).Nanoseconds()
@@ -335,10 +474,10 @@ func evalSlots(topo *topology.Topology, demands []flow.Demand, opts Options, sta
 				var adm []float64
 				for {
 					i := int(atomic.AddInt64(&next, 1)) - 1
-					if i >= len(slots) {
+					if i >= len(reps) {
 						break
 					}
-					adm = evalScenario(r, adm, slots[i])
+					adm = route(r, adm, reps[i])
 				}
 				putRunner(r)
 				atomic.AddInt64(&busyNanos, time.Since(workerStart).Nanoseconds())
@@ -346,12 +485,20 @@ func evalSlots(topo *topology.Topology, demands []flow.Demand, opts Options, sta
 		}
 		wg.Wait()
 	}
+	for _, col := range cols {
+		for _, slot := range slots {
+			col[slot] = col[repSlot[classOf(slot)]]
+		}
+	}
 	wall := time.Since(assessStart)
+	mScenarios.Add(int64(len(slots)))
+	mRoutedStates.Add(int64(len(reps)))
 	mAssessSeconds.Observe(wall.Seconds())
 	if wall > 0 && workers > 0 {
 		mScenarioRate.Set(float64(len(slots)) / wall.Seconds())
 		mWorkerUtil.Set(float64(busyNanos) / (wall.Seconds() * 1e9 * float64(workers)))
 	}
+	return len(reps)
 }
 
 // MeetsSLO reports whether the demand's full requested rate is available at
@@ -425,6 +572,9 @@ func AssessPhased(before, after *topology.Topology, fracAfter float64, demands [
 		for k, c := range res.Curves {
 			merged.Curves[k] = Merge(merged.Curves[k], c)
 		}
+		merged.Resimulated += res.Resimulated
+		merged.Spliced += res.Spliced
+		merged.Routed += res.Routed
 		return nil
 	}
 	if err := runPhase(before, beforeScenarios, 0); err != nil {
