@@ -1,8 +1,8 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build vet vet-metrics vet-imports vet-schema vet-schema-update test race chaos crash slo replay trace wirecompat fuzz-smoke bench bench-smoke bench-delta bench-json bench-regress bench-rebaseline cover figures examples grantd-demo
+.PHONY: all build vet vet-metrics vet-imports vet-schema vet-schema-update test race chaos crash slo replay trace wirecompat fuzz-smoke bench bench-build bench-smoke bench-delta bench-json bench-regress bench-rebaseline cover figures examples grantd-demo
 
-all: build vet vet-metrics vet-imports vet-schema test
+all: build vet vet-metrics vet-imports vet-schema bench-build test
 
 # Every leg that picks tests by name goes through one of these, so a rename
 # fails the leg instead of turning it into a silent pass: `go test` exits 0
@@ -64,6 +64,13 @@ build:
 
 vet:
 	go vet ./...
+
+# The end-to-end benchmark is its own module under bench/, so `./...` from
+# the root never compiles it: an API it calls can be deleted with every
+# other leg green. Vet it and run its tests (which stand up the real fleet
+# over loopback) against this tree.
+bench-build:
+	cd bench && go vet ./... && go test -count=1 ./...
 
 # Metric-name lint: scans every obs.Register* call site in the tree and
 # fails unless each metric name matches ^entitlement_[a-z0-9_]+$ and is
@@ -133,7 +140,7 @@ bench-delta:
 	$(call go_test_run,-count=1 -v,TestDeltaSpeedup,./internal/risk/)
 
 # Distributed tracing spine: the trace package's unit/property/fuzz-seed
-# suite, the wire propagation and SetTrace race tests, and the golden
+# suite, the wire propagation and SetSpan race tests, and the golden
 # cross-process drill — one grant submitted over real TCP must come back as
 # ONE trace spanning submitter, grantd, and contractdb with correct
 # parent/child edges and monotone timings, and tail sampling must keep 100%
@@ -141,16 +148,17 @@ bench-delta:
 # under the race detector.
 trace:
 	go test -race -count=1 -timeout 120s ./internal/obs/trace/
-	$(call go_test_run,-race -count=1 -timeout 120s,TestCallPropagatesSpanTree|TestSetTraceRaceWithConcurrentCalls,./internal/wire/)
+	$(call go_test_run,-race -count=1 -timeout 120s,TestCallPropagatesSpanTree|TestSetSpanRaceWithConcurrentCalls,./internal/wire/)
 	$(call go_test_run,-race -count=1 -timeout 180s -v,TestDistributedTraceSpine|TestTailSamplingRetention,./internal/integration/)
 
 # Wire compatibility matrix: every codec pairing (binary client vs JSON
-# server and the reverse), old frames without Trace/ID, torn and oversized
-# binary frames answered with error responses, and the mid-connection
-# JSON-after-binary regression — all under the race detector, across the
-# wire and kvstore layers.
+# server and the reverse, JSON payloads inside the binary envelope
+# included), old frames without Trace/ID, torn and oversized binary frames
+# answered with error responses, and the mid-connection JSON-after-binary
+# regression — all under the race detector, across the wire and kvstore
+# layers.
 wirecompat:
-	$(call go_test_run,-race -count=1 -timeout 120s,TestWireCompatMatrix|TestBinaryEnvelopeOverLegacyHandler|TestOldFrameWithoutTraceOrID|TestBinaryServerRejectsJSONFrameMidConnection|TestBinaryServerRejectsTornAndOversizedFrames|TestBinaryServerRejectsUnparseableJSONFrame|TestNegotiationFallbackToJSON|TestRenegotiateAfterReconnect|TestCrossCodecGolden|TestCallBinaryServerMisbehaves|TestClientNegotiateServerMisbehaves,./internal/wire/)
+	$(call go_test_run,-race -count=1 -timeout 120s,TestWireCompatMatrix|TestOldFrameWithoutTraceOrID|TestBinaryServerRejectsJSONFrameMidConnection|TestBinaryServerRejectsTornAndOversizedFrames|TestBinaryServerRejectsUnparseableJSONFrame|TestNegotiationFallbackToJSON|TestRenegotiateAfterReconnect|TestCrossCodecGolden|TestCallBinaryServerMisbehaves|TestClientNegotiateServerMisbehaves,./internal/wire/)
 	$(call go_test_run,-race -count=1 -timeout 120s,TestClientCodecMatrix|TestBinaryPutKeysDoNotAliasFrameBuffer,./internal/kvstore/)
 
 # Short fuzz pass over every parser that faces untrusted bytes: the wire

@@ -103,6 +103,18 @@ func (d Direction) String() string {
 	return "egress"
 }
 
+// ParseDirection parses a direction name. The empty string is egress: wire
+// frames older than the field omit it, and egress is all they could ask for.
+func ParseDirection(s string) (Direction, error) {
+	switch s {
+	case "", Egress.String():
+		return Egress, nil
+	case Ingress.String():
+		return Ingress, nil
+	}
+	return 0, fmt.Errorf("contract: unknown direction %q", s)
+}
+
 // SLO is an availability target, e.g. 0.9998 — the fraction of time all of
 // an NPG's in-entitlement traffic must be admitted by the network.
 type SLO float64

@@ -74,6 +74,19 @@ func TestDirectionString(t *testing.T) {
 	}
 }
 
+func TestParseDirection(t *testing.T) {
+	for s, want := range map[string]Direction{"": Egress, "egress": Egress, "ingress": Ingress} {
+		if got, err := ParseDirection(s); err != nil || got != want {
+			t.Errorf("ParseDirection(%q) = %v, %v", s, got, err)
+		}
+	}
+	for _, s := range []string{"Ingress", "in", "both"} {
+		if _, err := ParseDirection(s); err == nil {
+			t.Errorf("ParseDirection(%q) accepted", s)
+		}
+	}
+}
+
 func TestSLOValidate(t *testing.T) {
 	for _, s := range []SLO{0.9998, 1, 0.5} {
 		if err := s.Validate(); err != nil {

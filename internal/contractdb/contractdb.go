@@ -190,9 +190,9 @@ func (s *Server) handle(tc trace.Context, method string, p wire.Payload) (reply 
 		if err != nil {
 			return nil, err
 		}
-		dir := contract.Egress
-		if a.Dir == contract.Ingress.String() {
-			dir = contract.Ingress
+		dir, err := contract.ParseDirection(a.Dir)
+		if err != nil {
+			return nil, err
 		}
 		rate, found, err := s.store.EntitledRate(
 			contract.NPG(a.NPG), class, topology.Region(a.Region), dir, time.Unix(a.AtUnix, 0).UTC())
@@ -269,10 +269,6 @@ func (c *Client) SLO(npg contract.NPG) (float64, bool, error) {
 	}
 	return r.SLO, r.Found, nil
 }
-
-// SetTrace forwards a trace ID to the wire client: subsequent request IDs
-// carry it, correlating this client's calls with the caller's operation.
-func (c *Client) SetTrace(trace string) { c.c.SetTrace(trace) }
 
 // SetSpan forwards a span context to the wire client: subsequent calls
 // become wire.call spans in the caller's trace, with the context carried on

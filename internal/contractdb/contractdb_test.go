@@ -2,12 +2,15 @@ package contractdb
 
 import (
 	"bytes"
+	"errors"
 	"net"
 	"strings"
 	"testing"
 	"time"
 
 	"entitlement/internal/contract"
+	"entitlement/internal/wire"
+	schemav1 "entitlement/schema/v1"
 )
 
 var (
@@ -149,6 +152,55 @@ func TestServerClient(t *testing.T) {
 	// Ingress direction round-trips.
 	if _, found, err := c.EntitledRate("Ads", contract.ClassA, "A", contract.Ingress, t0.Add(time.Hour)); err != nil || found {
 		t.Errorf("ingress query = %v %v", found, err)
+	}
+}
+
+// TestServerParsesDirectionStrictly: a direction the server does not know is
+// an error on both codecs — it used to be served the egress entitlement —
+// while the empty string (frames older than the field) stays egress.
+func TestServerParsesDirectionStrictly(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := NewStore()
+	both := adsContract(true)
+	in := both.Entitlements[0]
+	in.Direction, in.Rate = contract.Ingress, 2e11
+	both.Entitlements = append(both.Entitlements, in)
+	if err := store.Put(both); err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(l, store)
+	defer srv.Close()
+
+	for _, codec := range []wire.Codec{wire.CodecJSON, wire.CodecBinary} {
+		t.Run(codec.String(), func(t *testing.T) {
+			c, err := wire.DialOpts(srv.Addr(), wire.ClientOptions{Codec: codec})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			query := func(dir string) (schemav1.DBRateReply, error) {
+				var r schemav1.DBRateReply
+				err := c.Call("entitled_rate", &schemav1.DBRateQuery{
+					NPG: "Ads", Class: contract.ClassA.String(), Region: "A",
+					Dir: dir, AtUnix: t0.Add(time.Hour).Unix(),
+				}, &r)
+				return r, err
+			}
+			for dir, want := range map[string]float64{"": 1e12, "egress": 1e12, "ingress": 2e11} {
+				if r, err := query(dir); err != nil || !r.Found || r.Rate != want {
+					t.Errorf("dir %q = %+v, %v, want rate %g", dir, r, err, want)
+				}
+			}
+			for _, dir := range []string{"Ingress", "in", "sideways"} {
+				var re *wire.RemoteError
+				if r, err := query(dir); !errors.As(err, &re) || !strings.Contains(re.Message, "unknown direction") {
+					t.Errorf("dir %q = %+v, %v, want an unknown-direction RemoteError", dir, r, err)
+				}
+			}
+		})
 	}
 }
 

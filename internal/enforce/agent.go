@@ -100,14 +100,11 @@ type AgentConfig struct {
 	Tracer *trace.Collector
 }
 
-// traceSetter is what the agent needs from a dependency to propagate its
-// per-cycle trace ID; the wire-backed kvstore and contractdb clients
-// implement it, in-process stores don't (and don't need to).
-type traceSetter interface{ SetTrace(string) }
-
-// spanSetter upgrades traceSetter to full span propagation: dependencies
-// implementing it (the wire-backed clients) have their calls parented under
-// the cycle's phase spans instead of just carrying the grep prefix.
+// spanSetter is what the agent needs from a dependency to tie its RPCs to
+// the cycle: the wire-backed kvstore and contractdb clients implement it
+// (their calls are parented under the cycle's phase spans, and their
+// request IDs carry the cycle's trace ID); in-process stores don't, and
+// don't need to.
 type spanSetter interface{ SetSpan(trace.Context) }
 
 // Agent is the per-host enforcement agent of Figure 9's user-space
@@ -139,15 +136,13 @@ type Agent struct {
 	wasFailedOpen bool
 
 	// cycleSeq numbers this agent's cycles (annotated on the root span);
-	// dbTrace/ratesTrace and dbSpan/ratesSpan are the dependencies'
-	// SetTrace/SetSpan hooks when wire-backed (nil otherwise), resolved once
-	// at construction. tracer is the resolved span collector.
-	cycleSeq   uint64
-	dbTrace    traceSetter
-	ratesTrace traceSetter
-	dbSpan     spanSetter
-	ratesSpan  spanSetter
-	tracer     *trace.Collector
+	// dbSpan/ratesSpan are the dependencies' SetSpan hooks when wire-backed
+	// (nil otherwise), resolved once at construction. tracer is the
+	// resolved span collector.
+	cycleSeq  uint64
+	dbSpan    spanSetter
+	ratesSpan spanSetter
+	tracer    *trace.Collector
 	// sloSeries is the cached flight-recorder handle (nil when Conformance
 	// is unset); caching keeps the record path off the sync.Map lookup.
 	sloSeries *slo.Series
@@ -170,12 +165,6 @@ func NewAgent(cfg AgentConfig) (*Agent, error) {
 	a := &Agent{
 		cfg: cfg,
 		key: bpf.MapKey{NPG: cfg.NPG, Class: cfg.Class, Region: cfg.Region},
-	}
-	if ts, ok := cfg.DB.(traceSetter); ok {
-		a.dbTrace = ts
-	}
-	if ts, ok := cfg.Rates.(traceSetter); ok {
-		a.ratesTrace = ts
 	}
 	if ss, ok := cfg.DB.(spanSetter); ok {
 		a.dbSpan = ss
@@ -253,15 +242,6 @@ func (a *Agent) Cycle(now time.Time, localTotal, localConform float64) (CycleRep
 	root.SetContract(string(a.cfg.NPG))
 	root.Annotate(fmt.Sprintf("cycle %d host %s", a.cycleSeq, a.cfg.Host))
 	traceID := root.TraceID()
-	// Dependencies that speak spans join the tree per phase (set inside
-	// cycle); the plain SetTrace prefix rides along either way so request
-	// IDs stay grep-able under the trace ID.
-	if a.dbTrace != nil {
-		a.dbTrace.SetTrace(traceID)
-	}
-	if a.ratesTrace != nil {
-		a.ratesTrace.SetTrace(traceID)
-	}
 	start := time.Now()
 	rep, err := a.cycle(now, localTotal, localConform, root.Context())
 	rep.TraceID = traceID

@@ -1,13 +1,13 @@
 package faults
 
 import (
-	"encoding/json"
 	"errors"
 	"net"
 	"testing"
 	"time"
 
 	"entitlement/internal/kvstore"
+	"entitlement/internal/obs/trace"
 	"entitlement/internal/wire"
 )
 
@@ -88,15 +88,15 @@ func echoBackend(t *testing.T) *wire.Server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := wire.NewServer(l, func(method string, payload json.RawMessage) (interface{}, error) {
+	srv := wire.NewServerPayload(l, func(_ trace.Context, method string, p wire.Payload) (interface{}, error) {
 		var s string
-		if payload != nil {
-			if err := json.Unmarshal(payload, &s); err != nil {
+		if !p.Empty() {
+			if err := p.Decode(&s); err != nil {
 				return nil, err
 			}
 		}
 		return s, nil
-	})
+	}, wire.ServerOptions{})
 	t.Cleanup(func() { srv.Close() })
 	return srv
 }

@@ -38,6 +38,7 @@
 package granting
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
@@ -359,7 +360,9 @@ func ReplayWAL(dir string) (*Recovered, error) {
 		if err != nil {
 			return nil, fmt.Errorf("granting: journal open: %w", err)
 		}
-		recs, _, truncated := decodeWALStream(f)
+		// Buffered: the decoder reads each record's header and body
+		// separately, which on the bare file is two syscalls a record.
+		recs, _, truncated := decodeWALStream(bufio.NewReader(f))
 		f.Close()
 		for i := range recs {
 			st.applyWALRecord(&recs[i])

@@ -1,7 +1,8 @@
-// The wire-RPC surface of the granting service: the same length-prefixed
-// JSON protocol the contract database and rate store speak, so one client
-// stack (deadlines, reconnect, request-id tracing) covers the whole control
-// plane.
+// The wire-RPC surface of the granting service: the same internal/wire
+// protocol the contract database and rate store speak, so one client stack
+// (deadlines, reconnect, codec negotiation, span propagation) covers the
+// whole control plane. grantd's payloads are JSON inside whichever envelope
+// the connection negotiated; wire.Payload.Decode reads them from both.
 //
 // Methods:
 //
@@ -84,7 +85,7 @@ func NewServerOpts(l net.Listener, svc *Service, opts wire.ServerOptions) *Serve
 	if opts.Service == "" {
 		opts.Service = "grantd"
 	}
-	s.srv = wire.NewServerCtx(l, s.handle, opts)
+	s.srv = wire.NewServerPayload(l, s.handle, opts)
 	return s
 }
 
@@ -95,11 +96,11 @@ func (s *Server) Addr() string { return s.srv.Addr().String() }
 // separately).
 func (s *Server) Close() error { return s.srv.Close() }
 
-func (s *Server) handle(tc trace.Context, method string, payload json.RawMessage) (interface{}, error) {
+func (s *Server) handle(tc trace.Context, method string, p wire.Payload) (interface{}, error) {
 	switch method {
 	case "submit":
 		var a submitArgs
-		if err := json.Unmarshal(payload, &a); err != nil {
+		if err := p.Decode(&a); err != nil {
 			return nil, err
 		}
 		ids, traceID, err := s.svc.SubmitGroupCtx(tc, a.Requests)
@@ -109,7 +110,7 @@ func (s *Server) handle(tc trace.Context, method string, payload json.RawMessage
 		return submitReply{IDs: ids, Trace: traceID}, nil
 	case "decide":
 		var a decideArgs
-		if err := json.Unmarshal(payload, &a); err != nil {
+		if err := p.Decode(&a); err != nil {
 			return nil, err
 		}
 		wait := time.Duration(a.WaitMS) * time.Millisecond
@@ -123,15 +124,15 @@ func (s *Server) handle(tc trace.Context, method string, payload json.RawMessage
 		return d, nil
 	case "status":
 		var a statusArgs
-		if err := json.Unmarshal(payload, &a); err != nil {
+		if err := p.Decode(&a); err != nil {
 			return nil, err
 		}
 		state, d := s.svc.Status(a.ID)
 		return statusReply{State: state, Decision: d}, nil
 	case "report":
 		var a reportArgs
-		if len(payload) > 0 {
-			if err := json.Unmarshal(payload, &a); err != nil {
+		if !p.Empty() {
+			if err := p.Decode(&a); err != nil {
 				return nil, err
 			}
 		}
@@ -162,9 +163,6 @@ func DialOpts(addr string, opts wire.ClientOptions) (*Client, error) {
 	}
 	return &Client{c: c}, nil
 }
-
-// SetTrace forwards a trace id into the wire request ids.
-func (c *Client) SetTrace(trace string) { c.c.SetTrace(trace) }
 
 // SetSpan forwards a span context into the wire client: subsequent calls
 // join the caller's span tree across the wire.

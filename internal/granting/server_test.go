@@ -1,6 +1,9 @@
 package granting
 
 import (
+	"bytes"
+	"encoding/json"
+	"errors"
 	"net"
 	"testing"
 	"time"
@@ -9,6 +12,7 @@ import (
 	"entitlement/internal/contractdb"
 	"entitlement/internal/hose"
 	"entitlement/internal/topology"
+	"entitlement/internal/wire"
 )
 
 func startServer(t *testing.T, sink Sink) (*Service, *Server) {
@@ -27,15 +31,41 @@ func startServer(t *testing.T, sink Sink) (*Service, *Server) {
 	return svc, srv
 }
 
-// TestServerRoundTrip drives the full RPC surface over a real socket.
+// TestServerRoundTrip drives the full RPC surface over a real socket, once
+// per codec: grantd's payloads are JSON inside whichever envelope the
+// connection negotiated, so the decisions a client decodes must be
+// byte-identical across the two.
 func TestServerRoundTrip(t *testing.T) {
+	decided := map[wire.Codec][]byte{}
+	for _, codec := range []wire.Codec{wire.CodecJSON, wire.CodecBinary} {
+		t.Run(codec.String(), func(t *testing.T) {
+			decisions := serverRoundTrip(t, codec)
+			b, err := json.Marshal(decisions)
+			if err != nil {
+				t.Fatal(err)
+			}
+			decided[codec] = b
+		})
+	}
+	if !bytes.Equal(decided[wire.CodecJSON], decided[wire.CodecBinary]) {
+		t.Errorf("decisions diverge across codecs:\njson   = %s\nbinary = %s", decided[wire.CodecJSON], decided[wire.CodecBinary])
+	}
+}
+
+// serverRoundTrip runs submit/decide/status/report against a fresh service
+// over codec and returns every decision the client decoded, in order.
+func serverRoundTrip(t *testing.T, codec wire.Codec) []*Decision {
 	db := contractdb.NewStore()
 	_, srv := startServer(t, db)
-	client, err := Dial(srv.Addr())
+	client, err := DialOpts(srv.Addr(), wire.ClientOptions{Codec: codec})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer client.Close()
+	if got := client.c.NegotiatedCodec(); got != codec {
+		t.Fatalf("negotiated %v, want %v", got, codec)
+	}
+	var decisions []*Decision
 
 	// Submit + Decide: a negotiable ask lands a contract.
 	dec, err := client.SubmitWait(Request{
@@ -51,12 +81,14 @@ func TestServerRoundTrip(t *testing.T) {
 	if dec.Contract == nil || db.Len() != 1 {
 		t.Fatalf("granted contract not stored (db has %d)", db.Len())
 	}
+	decisions = append(decisions, dec)
 
 	// Status on a decided id, then on garbage.
 	state, sd, err := client.Status(dec.ID)
 	if err != nil || state != "decided" || sd == nil {
 		t.Fatalf("status(%s) = %s, %v, %v", dec.ID, state, sd, err)
 	}
+	decisions = append(decisions, sd)
 	state, _, err = client.Status("g-999999")
 	if err != nil || state != "unknown" {
 		t.Fatalf("status(bogus) = %s, %v", state, err)
@@ -79,6 +111,7 @@ func TestServerRoundTrip(t *testing.T) {
 	if dec.Contract != nil || db.Len() != 1 {
 		t.Fatal("rejected ask must not store a contract")
 	}
+	decisions = append(decisions, dec)
 
 	// Group submission keeps per-request ids aligned.
 	ids, err := client.SubmitGroup([]Request{
@@ -102,6 +135,7 @@ func TestServerRoundTrip(t *testing.T) {
 		if d.NPG != want {
 			t.Errorf("id %s decided for %s, want %s", id, d.NPG, want)
 		}
+		decisions = append(decisions, d)
 	}
 
 	// Report reflects the traffic.
@@ -112,9 +146,25 @@ func TestServerRoundTrip(t *testing.T) {
 	if rep.Stats.Decided != 4 || len(rep.Decisions) != 4 {
 		t.Errorf("report: %+v with %d decisions", rep.Stats, len(rep.Decisions))
 	}
-
-	// Invalid request is rejected server-side with a RemoteError.
-	if _, err := client.Submit(Request{}); err == nil {
-		t.Error("empty request accepted over the wire")
+	for i := range rep.Decisions {
+		decisions = append(decisions, &rep.Decisions[i])
 	}
+
+	// An invalid request, a malformed submit payload and an unknown method
+	// are each rejected server-side with a RemoteError, and the connection
+	// stays usable for the next call.
+	var re *wire.RemoteError
+	if _, err := client.Submit(Request{}); !errors.As(err, &re) {
+		t.Errorf("empty request over the wire: %v, want RemoteError", err)
+	}
+	if err := client.c.Call("submit", "not-an-object", nil); !errors.As(err, &re) {
+		t.Errorf("malformed submit payload: %v, want RemoteError", err)
+	}
+	if err := client.c.Call("no-such-method", nil, nil); !errors.As(err, &re) {
+		t.Errorf("unknown method: %v, want RemoteError", err)
+	}
+	if state, _, err := client.Status(dec.ID); err != nil || state != "decided" {
+		t.Errorf("connection unusable after rejections: status = %s, %v", state, err)
+	}
+	return decisions
 }

@@ -355,11 +355,6 @@ func Connect(addr string, opts wire.ClientOptions) *Client {
 	return &Client{c: wire.Connect(addr, opts)}
 }
 
-// SetTrace forwards a trace ID to the wire client: subsequent request IDs
-// carry it, correlating this client's calls with the caller's operation
-// (e.g. one enforcement cycle).
-func (c *Client) SetTrace(trace string) { c.c.SetTrace(trace) }
-
 // SetSpan forwards a span context to the wire client: subsequent calls
 // become wire.call spans in the caller's trace, with the context carried on
 // the request frame.

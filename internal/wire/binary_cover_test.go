@@ -83,18 +83,6 @@ func TestWriteMessageErrors(t *testing.T) {
 	}
 }
 
-func TestBytesEqual(t *testing.T) {
-	if bytesEqual([]byte("ab"), []byte("abc")) {
-		t.Error("length mismatch equal")
-	}
-	if bytesEqual([]byte("ab"), []byte("ac")) {
-		t.Error("content mismatch equal")
-	}
-	if !bytesEqual([]byte("ab"), []byte("ab")) {
-		t.Error("equal slices unequal")
-	}
-}
-
 // The server declines negotiation for a garbled payload or an unknown
 // codec/version, with an error response on the same JSON connection.
 func TestServerNegotiateDeclines(t *testing.T) {
@@ -139,8 +127,9 @@ func TestServerNegotiateDeclines(t *testing.T) {
 	}
 }
 
-// Both serve loops honor ReadIdleTimeout, log through the server Logger,
-// and stamp the Service name onto spans; the client side logs too.
+// The serve loop honors ReadIdleTimeout, logs through the server Logger,
+// and stamps the Service name onto spans, in both codecs; the client side
+// logs too.
 func TestServeLoopsWithLoggerServiceAndIdleTimeout(t *testing.T) {
 	for _, codec := range []Codec{CodecJSON, CodecBinary} {
 		t.Run(codec.String(), func(t *testing.T) {
@@ -247,7 +236,7 @@ func scriptedBinaryServer(t *testing.T, respond func(req binRequest) []byte) str
 			return
 		}
 		for {
-			body, err := readFrame(br)
+			body, _, err := readFrameInto(br, nil)
 			if err != nil {
 				return
 			}

@@ -20,7 +20,7 @@ import (
 // startPayloadServer runs a small kv-flavored payload server: "put"/"get"
 // speak the schema-binary kvstore shapes, "echo" stays JSON, "fail" and
 // "shed" exercise the two error channels, "traceid" reports the span
-// context the server saw.
+// context the server saw, "jsonfield" decodes an untyped JSON object.
 func startPayloadServer(t *testing.T, opts ServerOptions) (*Server, string) {
 	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -61,6 +61,15 @@ func startPayloadServer(t *testing.T, opts ServerOptions) (*Server, string) {
 			return nil, &Overloaded{Err: fmt.Errorf("queue full"), RetryAfter: 250 * time.Millisecond}
 		case "traceid":
 			return tc.TraceID(), nil
+		case "jsonfield":
+			if p.IsBinary() {
+				return nil, fmt.Errorf("JSON args arrived flagged schema-binary")
+			}
+			var a map[string]string
+			if err := p.Decode(&a); err != nil {
+				return nil, err
+			}
+			return a["field"], nil
 		default:
 			return nil, fmt.Errorf("unknown method %q", method)
 		}
@@ -95,6 +104,14 @@ func exerciseClient(t *testing.T, c *Client) {
 	var s string
 	if err := c.Call("echo", "ping", &s); err != nil || s != "ping" {
 		t.Errorf("echo = %q, %v", s, err)
+	}
+
+	// A JSON payload rides whichever envelope was negotiated untouched and
+	// reaches Payload.Decode as JSON — grantd's production path on binary
+	// connections.
+	var field string
+	if err := c.Call("jsonfield", map[string]string{"field": "intact"}, &field); err != nil || field != "intact" {
+		t.Errorf("jsonfield = %q, %v", field, err)
 	}
 
 	err := c.Call("fail", nil, nil)
@@ -163,33 +180,6 @@ func TestWireCompatMatrix(t *testing.T) {
 	}
 }
 
-// Legacy JSON-era handlers keep working behind the binary transport: the
-// envelope is binary, the payload stays JSON, and a schema-binary payload
-// aimed at a legacy server is rejected cleanly instead of being parsed as
-// garbage.
-func TestBinaryEnvelopeOverLegacyHandler(t *testing.T) {
-	_, addr := startEchoServer(t) // plain Handler, no payload awareness
-	c, err := DialOpts(addr, ClientOptions{Codec: CodecBinary})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if got := c.NegotiatedCodec(); got != CodecBinary {
-		t.Fatalf("negotiated codec = %v, want binary", got)
-	}
-	var s string
-	if err := c.Call("echo", "ping", &s); err != nil || s != "ping" {
-		t.Errorf("echo = %q, %v", s, err)
-	}
-	// A schema-binary payload has no JSON meaning; the legacy server must
-	// answer with an error, not attempt to decode it.
-	err = c.Call("echo", &schemav1.KVKey{Key: "x"}, nil)
-	var re *RemoteError
-	if !errors.As(err, &re) || !strings.Contains(re.Message, "no binary payload codec") {
-		t.Errorf("binary payload to legacy handler: err = %v", err)
-	}
-}
-
 // A frame without Trace — and without ID — is what pre-tracing peers send;
 // both must keep working against a payload server.
 func TestOldFrameWithoutTraceOrID(t *testing.T) {
@@ -234,7 +224,7 @@ func negotiateRaw(t *testing.T, conn net.Conn) {
 // readBinaryResponse reads one frame and decodes it as a binary response.
 func readBinaryResponse(t *testing.T, br *bufio.Reader) binResponse {
 	t.Helper()
-	body, err := readFrame(br)
+	body, _, err := readFrameInto(br, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,9 +342,9 @@ func TestNegotiationFallbackToJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy := NewServerOpts(l, func(method string, payload json.RawMessage) (interface{}, error) {
+	legacy := serveJSON(l, ServerOptions{DisableBinary: true}, func(method string, payload json.RawMessage) (interface{}, error) {
 		return nil, fmt.Errorf("unknown method %q", method)
-	}, ServerOptions{DisableBinary: true})
+	})
 	defer legacy.Close()
 
 	c, err := DialOpts(l.Addr().String(), ClientOptions{Codec: CodecBinary})

@@ -106,7 +106,7 @@ func TestClientReconnectsAfterServerRestart(t *testing.T) {
 	if err != nil {
 		t.Fatalf("rebind %s: %v", addr, err)
 	}
-	srv2 := NewServer(l, func(method string, payload json.RawMessage) (interface{}, error) {
+	srv2 := serveJSON(l, ServerOptions{}, func(method string, payload json.RawMessage) (interface{}, error) {
 		var s string
 		json.Unmarshal(payload, &s)
 		return s, nil
@@ -195,9 +195,9 @@ func TestServerReadIdleTimeout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServerOpts(l, func(string, json.RawMessage) (interface{}, error) {
+	srv := serveJSON(l, ServerOptions{ReadIdleTimeout: 100 * time.Millisecond}, func(string, json.RawMessage) (interface{}, error) {
 		return nil, nil
-	}, ServerOptions{ReadIdleTimeout: 100 * time.Millisecond})
+	})
 	defer srv.Close()
 
 	// An idle connection is dropped.
@@ -241,7 +241,7 @@ func TestCloseRacingInFlightCall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(l, func(string, json.RawMessage) (interface{}, error) {
+	srv := serveJSON(l, ServerOptions{}, func(string, json.RawMessage) (interface{}, error) {
 		time.Sleep(300 * time.Millisecond)
 		return "late", nil
 	})
@@ -305,7 +305,7 @@ func TestConcurrentClientsWithFailures(t *testing.T) {
 	if err != nil {
 		t.Fatalf("rebind: %v", err)
 	}
-	srv2 := NewServer(l, func(method string, payload json.RawMessage) (interface{}, error) {
+	srv2 := serveJSON(l, ServerOptions{}, func(method string, payload json.RawMessage) (interface{}, error) {
 		var args [2]int
 		if err := json.Unmarshal(payload, &args); err != nil {
 			return nil, err
@@ -350,7 +350,7 @@ func TestConnectLazyDialsWhenServerAppears(t *testing.T) {
 	if err != nil {
 		t.Fatalf("rebind: %v", err)
 	}
-	srv := NewServer(l2, func(method string, payload json.RawMessage) (interface{}, error) {
+	srv := serveJSON(l2, ServerOptions{}, func(method string, payload json.RawMessage) (interface{}, error) {
 		var s string
 		json.Unmarshal(payload, &s)
 		return s, nil

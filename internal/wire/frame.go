@@ -1,8 +1,29 @@
-// The binary wire codec: the same 4-byte length-prefixed framing as the
-// JSON codec, with the frame body in a compact positional encoding instead
-// of a JSON object. It exists for one reason — the kvstore publish path has
-// to survive millions of publishes per second, and JSON encode/decode of
-// the envelope plus payload is the dominant CPU cost there.
+// Package wire is the framing and RPC layer every run-time component speaks
+// over TCP: length-prefixed frames, a request/response envelope in one of
+// two negotiated codecs, a connection-per-client server loop, and a
+// serialized client. The contract database, the distributed rate store and
+// the granting service all build on it.
+//
+// There is one of each mechanism. A service implements one handler type
+// (PayloadHandler) and is served by one constructor (NewServerPayload); a
+// caller ties its calls to an operation with one hook (Client.SetSpan); and
+// each side runs one per-request code path, in which the connection's codec
+// decides only how the envelope is decoded and encoded.
+//
+// # Framing
+//
+// A frame is a 4-byte big-endian length followed by a body of at most
+// MaxMessageSize bytes. The body is an envelope (Request or Response) in
+// the connection's codec: a JSON object — what every peer has spoken since
+// the first release, and still the default — or the compact positional
+// encoding below, which exists because the kvstore publish path has to
+// survive millions of publishes per second and JSON encode/decode of the
+// envelope plus payload is the dominant CPU cost there.
+//
+// Because both codecs share the outer framing, a frame in the wrong codec
+// never desyncs the stream: the whole body is consumed by length, the
+// server answers with an error response, and the connection keeps serving
+// (see serverConn.decodeRequest).
 //
 // # Negotiation
 //
@@ -27,7 +48,7 @@
 // so a server downgrade mid-deployment degrades the codec, never the
 // connection.
 //
-// # Binary frame layout (schema v1)
+// # Binary envelope layout (schema v1)
 //
 //	byte 0    kind: 0x01 request, 0x02 response
 //	byte 1    flags
@@ -40,24 +61,117 @@
 // payload is schema-binary, bit1 = retryable (overload shed). Payloads ride
 // as raw bytes either way, so methods without a binary payload codec (the
 // granting plane's contract-bearing messages) still benefit from the
-// envelope being binary while their payloads stay JSON.
+// envelope being binary while their payloads stay JSON; Payload.Decode
+// serves both, which is why one handler type is enough.
 //
-// Because both codecs share the outer length-prefixed framing, a frame in
-// the wrong codec never desyncs the stream: the whole body is consumed by
-// length, the server answers with an error response, and the connection
-// keeps serving (see serveBinaryFrame).
+// # Failure behavior
+//
+// The client is built for an unreliable fleet: every call carries a
+// deadline, a connection that fails mid-call is marked broken (so framing
+// can never desync on the shared connection) and re-dialed lazily with
+// capped exponential backoff plus jitter, and errors are classified
+// transient vs. permanent so callers can decide whether retrying is worth
+// anything. The server side guards against idle or byte-dribbling peers
+// with an optional per-connection read idle timeout and answers protocol
+// violations with an error response instead of a silent disconnect.
+//
+// # Correlation and tracing
+//
+// Every request carries a client-generated request ID which the server
+// echoes back; both sides attach it to their slog spans (when a Logger is
+// configured) and the client stamps it onto returned errors. Client.SetSpan
+// attaches a trace context (internal/obs/trace) to the client: request IDs
+// then start with the 32-hex trace ID, so one operation's RPC fan-out greps
+// under one token across processes, every Call starts a wire.call child
+// span and propagates its context in the envelope's optional trace field,
+// and the server parents a wire.serve span under it — one span tree across
+// processes. Requests without a trace field behave exactly as before; the
+// field is JSON-omitted when empty, keeping the frame byte-compatible with
+// old peers.
 package wire
 
 import (
-	"bufio"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"strconv"
 
 	schemav1 "entitlement/schema/v1"
 )
+
+// MaxMessageSize bounds a single frame; anything larger is a protocol error.
+const MaxMessageSize = 16 << 20
+
+// WriteMessage marshals v as JSON and writes one length-prefixed frame.
+func WriteMessage(w io.Writer, v interface{}) error {
+	body, err := json.Marshal(v)
+	if err != nil {
+		return fmt.Errorf("wire: marshal: %w", err)
+	}
+	if len(body) > MaxMessageSize {
+		return ErrMessageTooLarge
+	}
+	var hdr [4]byte
+	binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
+	if _, err := w.Write(hdr[:]); err != nil {
+		return err
+	}
+	_, err = w.Write(body)
+	return err
+}
+
+// readFrameInto reads one length-prefixed frame body into buf, growing it
+// as needed, and returns the body view plus the (possibly regrown) buffer.
+// The reuse is what makes the receive path allocation-free after the first
+// frame. The frame header has been consumed even when the frame is
+// oversized, so the stream is desynced after ErrMessageTooLarge; callers
+// must drop the connection.
+func readFrameInto(r io.Reader, buf []byte) (body, kept []byte, err error) {
+	// The length header is read into buf rather than a local array: a stack
+	// array sliced into io.ReadFull escapes through the io.Reader interface
+	// and would cost one heap allocation per frame.
+	if cap(buf) < 4 {
+		buf = make([]byte, 0, 512)
+	}
+	hdr := buf[:4]
+	if _, err := io.ReadFull(r, hdr); err != nil {
+		return nil, buf, err
+	}
+	n := binary.BigEndian.Uint32(hdr)
+	if n > MaxMessageSize {
+		return nil, buf, ErrMessageTooLarge
+	}
+	if cap(buf) < int(n) {
+		buf = make([]byte, n)
+	}
+	body = buf[:n]
+	if _, err := io.ReadFull(r, body); err != nil {
+		return nil, buf, err
+	}
+	return body, buf, nil
+}
+
+// ReadMessage reads one frame and unmarshals it into v.
+func ReadMessage(r io.Reader, v interface{}) error {
+	body, _, err := readFrameInto(r, nil)
+	if err != nil {
+		return err
+	}
+	if err := json.Unmarshal(body, v); err != nil {
+		return fmt.Errorf("wire: unmarshal: %w", err)
+	}
+	return nil
+}
+
+// Request is the RPC envelope sent by clients. The shape is a versioned
+// schema contract — it lives in schema/v1 and is fingerprint-pinned by
+// `make vet-schema`; this alias keeps the wire package's historical API.
+type Request = schemav1.Request
+
+// Response is the RPC envelope returned by servers (schema/v1 contract,
+// aliased like Request).
+type Response = schemav1.Response
 
 // Codec selects the wire encoding a client offers at dial time.
 type Codec int
@@ -122,8 +236,9 @@ type binRequest struct {
 	flags   byte
 }
 
-// binResponse is a decoded binary response envelope, aliasing like
-// binRequest.
+// binResponse is a decoded response envelope, aliasing like binRequest. It
+// is the binary codec's native form; the client fills it from a JSON
+// Response too (see decodeResponse), so Call has one tail for both codecs.
 type binResponse struct {
 	id           []byte
 	errMsg       []byte
@@ -219,52 +334,10 @@ func appendBinResponseHeader(dst []byte, flags byte, id []byte, errMsg string, r
 	return binary.AppendUvarint(dst, uint64(retryAfterMS))
 }
 
-// readFrameInto reads one length-prefixed frame body into buf, growing it
-// as needed, and returns the body view plus the (possibly regrown) buffer.
-// The reuse is what makes the binary receive path allocation-free after the
-// first frame.
-func readFrameInto(r *bufio.Reader, buf []byte) (body, kept []byte, err error) {
-	// The length header is read into buf rather than a local array: a stack
-	// array sliced into io.ReadFull escapes through the io.Reader interface
-	// and would cost one heap allocation per frame.
-	if cap(buf) < 4 {
-		buf = make([]byte, 0, 512)
-	}
-	hdr := buf[:4]
-	if _, err := io.ReadFull(r, hdr); err != nil {
-		return nil, buf, err
-	}
-	n := binary.BigEndian.Uint32(hdr)
-	if n > MaxMessageSize {
-		return nil, buf, ErrMessageTooLarge
-	}
-	if cap(buf) < int(n) {
-		buf = make([]byte, n)
-	}
-	body = buf[:n]
-	if _, err := io.ReadFull(r, body); err != nil {
-		return nil, buf, err
-	}
-	return body, buf, nil
-}
-
-// appendRequestID renders "<prefix>.<base>-<seq>" (or "<base>-<seq>"
-// untraced) into dst without allocating — the binary hot path's replacement
-// for fmt.Sprintf in requestID.
-func appendRequestID(dst []byte, prefix, base string, seq uint64) []byte {
-	if prefix != "" {
-		dst = append(dst, prefix...)
-		dst = append(dst, '.')
-	}
-	dst = append(dst, base...)
-	dst = append(dst, '-')
-	return strconv.AppendUint(dst, seq, 10)
-}
-
 // Payload is one request's payload plus its encoding, handed to
-// PayloadHandler. Binary payloads (and JSON ones on binary connections)
-// alias the connection's frame buffer: they are valid only for the duration
-// of the handler call, which is exactly the decode-and-act window every
+// PayloadHandler. On a binary connection it aliases the connection's frame
+// buffer whichever encoding it is in: it is valid only for the duration of
+// the handler call, which is exactly the decode-and-act window every
 // handler in this repo uses. A handler that must retain bytes copies them.
 type Payload struct {
 	data   []byte
@@ -298,5 +371,8 @@ func (p Payload) Decode(v interface{}) error {
 		}
 		return u.DecodeBinary(p.data)
 	}
-	return jsonUnmarshalPayload(p.data, v)
+	if err := json.Unmarshal(p.data, v); err != nil {
+		return fmt.Errorf("wire: unmarshal payload: %w", err)
+	}
+	return nil
 }

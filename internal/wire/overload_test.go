@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"entitlement/internal/obs/trace"
 )
 
 // TestOverloadRoundTrip pins the shed-classification path over a real
@@ -21,7 +23,7 @@ func TestOverloadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	sentinel := errors.New("queue full")
-	srv := NewServer(l, func(method string, payload json.RawMessage) (interface{}, error) {
+	srv := serveJSON(l, ServerOptions{}, func(method string, payload json.RawMessage) (interface{}, error) {
 		switch method {
 		case "shed":
 			return nil, &Overloaded{
@@ -37,12 +39,14 @@ func TestOverloadRoundTrip(t *testing.T) {
 	})
 	defer srv.Close()
 
-	c, err := Dial(l.Addr().String())
+	c, err := DialOpts(l.Addr().String(), ClientOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	c.SetTrace("ov")
+	root := trace.Default().StartRoot("ov")
+	defer root.Finish()
+	c.SetSpan(root.Context())
 
 	err = c.Call("shed", nil, nil)
 	var oe *OverloadedError
@@ -55,7 +59,7 @@ func TestOverloadRoundTrip(t *testing.T) {
 	if oe.Method != "shed" || !strings.Contains(oe.Message, "queue full") {
 		t.Errorf("overload error lost context: %+v", oe)
 	}
-	if oe.RequestID == "" || !strings.HasPrefix(oe.RequestID, "ov.") {
+	if !strings.HasPrefix(oe.RequestID, root.TraceID()+".") {
 		t.Errorf("RequestID = %q, want the traced id", oe.RequestID)
 	}
 	if !IsTransient(err) {

@@ -49,9 +49,9 @@ func TestRequestIDPropagatedToLogs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServerOpts(l, func(method string, _ json.RawMessage) (interface{}, error) {
+	srv := serveJSON(l, ServerOptions{Logger: debugLogger(&serverLog)}, func(method string, _ json.RawMessage) (interface{}, error) {
 		return map[string]string{"pong": method}, nil
-	}, ServerOptions{Logger: debugLogger(&serverLog)})
+	})
 	defer srv.Close()
 
 	c, err := DialOpts(l.Addr().String(), ClientOptions{Logger: debugLogger(&clientLog)})
@@ -78,64 +78,28 @@ func TestRequestIDPropagatedToLogs(t *testing.T) {
 	}
 }
 
-// TestSetTracePrefixesRequestIDs: after SetTrace, every request ID carries
-// the trace prefix, so a cycle's whole fan-out greps under one token.
-func TestSetTracePrefixesRequestIDs(t *testing.T) {
-	var clientLog syncBuffer
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := NewServer(l, func(string, json.RawMessage) (interface{}, error) { return nil, nil })
-	defer srv.Close()
-	c, err := DialOpts(l.Addr().String(), ClientOptions{Logger: debugLogger(&clientLog)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	c.SetTrace("host-7-c42")
-	if err := c.Call("a", nil, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Call("b", nil, nil); err != nil {
-		t.Fatal(err)
-	}
-	c.SetTrace("")
-	if err := c.Call("c", nil, nil); err != nil {
-		t.Fatal(err)
-	}
-	ids := requestIDRE.FindAllStringSubmatch(clientLog.String(), -1)
-	if len(ids) != 3 {
-		t.Fatalf("want 3 spans, got %d:\n%s", len(ids), clientLog.String())
-	}
-	for _, m := range ids[:2] {
-		if !strings.HasPrefix(m[1], "host-7-c42.") {
-			t.Fatalf("traced request ID %q lacks the trace prefix", m[1])
-		}
-	}
-	if strings.HasPrefix(ids[2][1], "host-7-c42.") {
-		t.Fatalf("request ID %q still carries a cleared trace", ids[2][1])
-	}
-}
-
 // TestCallPropagatesSpanTree is the cross-process tracing contract at the
 // wire layer: with a span attached via SetSpan, one Call yields a wire.call
 // span on the client parented under the caller's span, a wire.serve span on
 // the server parented under the wire.call span, and the handler receives
-// the serve span's context — one tree across both sides.
+// the serve span's context — one tree across both sides. The same hook ties
+// the two sides' log spans together: under SetSpan the request ID starts
+// with the trace ID, and loses it once the span is cleared.
 func TestCallPropagatesSpanTree(t *testing.T) {
+	var clientLog, serverLog syncBuffer
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	var handlerCtx trace.Context
-	srv := NewServerCtx(l, func(tc trace.Context, method string, _ json.RawMessage) (interface{}, error) {
-		handlerCtx = tc
+	srv := NewServerPayload(l, func(tc trace.Context, method string, _ Payload) (interface{}, error) {
+		if method == "ping" {
+			handlerCtx = tc
+		}
 		return nil, nil
-	}, ServerOptions{Service: "srv"})
+	}, ServerOptions{Service: "srv", Logger: debugLogger(&serverLog)})
 	defer srv.Close()
-	c, err := DialOpts(l.Addr().String(), ClientOptions{Service: "cli"})
+	c, err := DialOpts(l.Addr().String(), ClientOptions{Service: "cli", Logger: debugLogger(&clientLog)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,13 +112,31 @@ func TestCallPropagatesSpanTree(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !handlerCtx.Valid() {
-		t.Fatal("CtxHandler received a zero trace context for a traced call")
+		t.Fatal("handler received a zero trace context for a traced call")
 	}
 	if handlerCtx.TraceID() != root.TraceID() {
 		t.Fatalf("handler context is on trace %s, caller is on %s", handlerCtx.TraceID(), root.TraceID())
 	}
+	c.SetSpan(trace.Context{})
+	if err := c.Call("untraced", nil, nil); err != nil {
+		t.Fatal(err)
+	}
 	root.SetError(errors.New("retain me")) // force tail sampling to keep the trace
 	root.Finish()
+	srv.Close() // the server logs before it responds, but close anyway
+
+	for side, log := range map[string]*syncBuffer{"client": &clientLog, "server": &serverLog} {
+		ids := requestIDRE.FindAllStringSubmatch(log.String(), -1)
+		if len(ids) != 2 {
+			t.Fatalf("%s: want 2 log spans, got %d:\n%s", side, len(ids), log.String())
+		}
+		if !strings.HasPrefix(ids[0][1], root.TraceID()+".") {
+			t.Errorf("%s: traced request ID %q lacks the trace-ID prefix", side, ids[0][1])
+		}
+		if strings.HasPrefix(ids[1][1], root.TraceID()+".") {
+			t.Errorf("%s: request ID %q still carries a cleared trace", side, ids[1][1])
+		}
+	}
 
 	tree, ok := col.Tree(root.TraceID())
 	if !ok {
@@ -187,16 +169,15 @@ func TestCallPropagatesSpanTree(t *testing.T) {
 	}
 }
 
-// TestSetTraceRaceWithConcurrentCalls pins the lock-free trace state:
-// SetTrace/SetSpan swaps racing concurrent Calls must neither trip the race
-// detector nor produce a torn request ID (a traced ID always carries the
-// prefix of one complete snapshot).
-func TestSetTraceRaceWithConcurrentCalls(t *testing.T) {
+// TestSetSpanRaceWithConcurrentCalls pins the lock-free trace state: SetSpan
+// swaps (between two spans and cleared) racing concurrent Calls must neither
+// trip the race detector nor fail a call.
+func TestSetSpanRaceWithConcurrentCalls(t *testing.T) {
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(l, func(string, json.RawMessage) (interface{}, error) { return nil, nil })
+	srv := serveJSON(l, ServerOptions{}, func(string, json.RawMessage) (interface{}, error) { return nil, nil })
 	defer srv.Close()
 	c, err := DialOpts(l.Addr().String(), ClientOptions{})
 	if err != nil {
@@ -204,8 +185,10 @@ func TestSetTraceRaceWithConcurrentCalls(t *testing.T) {
 	}
 	defer c.Close()
 
-	sp := trace.Default().StartRoot("race-root")
-	defer sp.Finish()
+	a := trace.Default().StartRoot("race-root-a")
+	defer a.Finish()
+	b := trace.Default().StartRoot("race-root-b")
+	defer b.Finish()
 	stop := make(chan struct{})
 	var swapper sync.WaitGroup
 	swapper.Add(1)
@@ -219,11 +202,11 @@ func TestSetTraceRaceWithConcurrentCalls(t *testing.T) {
 			}
 			switch i % 3 {
 			case 0:
-				c.SetTrace(fmt.Sprintf("t%d", i))
+				c.SetSpan(a.Context())
 			case 1:
-				c.SetSpan(sp.Context())
+				c.SetSpan(b.Context())
 			default:
-				c.SetTrace("")
+				c.SetSpan(trace.Context{})
 			}
 		}
 	}()
@@ -234,7 +217,7 @@ func TestSetTraceRaceWithConcurrentCalls(t *testing.T) {
 			defer callers.Done()
 			for i := 0; i < 50; i++ {
 				if err := c.Call("m", nil, nil); err != nil {
-					t.Errorf("Call under SetTrace race: %v", err)
+					t.Errorf("Call under SetSpan race: %v", err)
 					return
 				}
 			}
@@ -254,10 +237,10 @@ func TestRequestIDOnErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(l, func(method string, _ json.RawMessage) (interface{}, error) {
+	srv := serveJSON(l, ServerOptions{}, func(method string, _ json.RawMessage) (interface{}, error) {
 		return nil, fmt.Errorf("handler says no")
 	})
-	c, err := Dial(l.Addr().String())
+	c, err := DialOpts(l.Addr().String(), ClientOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,19 +276,31 @@ func TestRequestIDOnErrors(t *testing.T) {
 // request's ID means the stream is desynced; the client must fail the call
 // transiently and drop the connection.
 func TestResponseIDMismatchBreaksConnection(t *testing.T) {
-	client, server := net.Pipe()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
+		server, err := l.Accept()
+		if err != nil {
+			return
+		}
+		defer server.Close()
 		var req Request
 		if err := ReadMessage(server, &req); err != nil {
 			return
 		}
 		WriteMessage(server, &Response{ID: "not-your-request"})
 	}()
-	c := NewClient(client)
+	c, err := DialOpts(l.Addr().String(), ClientOptions{DisableReconnect: true})
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer c.Close()
-	err := c.Call("m", nil, nil)
+	err = c.Call("m", nil, nil)
 	<-done
 	if !IsTransient(err) {
 		t.Fatalf("want transient desync error, got %v", err)
@@ -313,8 +308,8 @@ func TestResponseIDMismatchBreaksConnection(t *testing.T) {
 	if !strings.Contains(err.Error(), "not-your-request") {
 		t.Fatalf("error %q does not explain the ID mismatch", err)
 	}
-	// The connection must be marked broken: a pipe-backed client cannot
-	// re-dial, so the next call fails fast.
+	// The connection must be marked broken: with re-dialing disabled the
+	// next call fails fast.
 	if err := c.Call("m2", nil, nil); !errors.Is(err, ErrBrokenConn) {
 		t.Fatalf("connection not marked broken after desync: %v", err)
 	}

@@ -9,6 +9,8 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+
+	"entitlement/internal/obs/trace"
 )
 
 func TestMessageRoundTrip(t *testing.T) {
@@ -69,13 +71,22 @@ func TestWriteMessageUnmarshalable(t *testing.T) {
 	}
 }
 
+// serveJSON starts a server whose handler sees each payload as raw JSON
+// bytes — the shape most tests here script against. It is the one place
+// the suite adapts that shape to the package's single handler type.
+func serveJSON(l net.Listener, opts ServerOptions, h func(method string, payload json.RawMessage) (interface{}, error)) *Server {
+	return NewServerPayload(l, func(_ trace.Context, method string, p Payload) (interface{}, error) {
+		return h(method, p.Bytes())
+	}, opts)
+}
+
 func startEchoServer(t *testing.T) (*Server, string) {
 	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(l, func(method string, payload json.RawMessage) (interface{}, error) {
+	srv := serveJSON(l, ServerOptions{}, func(method string, payload json.RawMessage) (interface{}, error) {
 		switch method {
 		case "echo":
 			var s string
@@ -103,7 +114,7 @@ func startEchoServer(t *testing.T) (*Server, string) {
 
 func TestClientServerRPC(t *testing.T) {
 	_, addr := startEchoServer(t)
-	c, err := Dial(addr)
+	c, err := DialOpts(addr, ClientOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +140,7 @@ func TestClientServerRPC(t *testing.T) {
 
 func TestRemoteError(t *testing.T) {
 	_, addr := startEchoServer(t)
-	c, err := Dial(addr)
+	c, err := DialOpts(addr, ClientOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +172,7 @@ func TestConcurrentClients(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			c, err := Dial(addr)
+			c, err := DialOpts(addr, ClientOptions{})
 			if err != nil {
 				errs <- err
 				return
@@ -189,7 +200,7 @@ func TestConcurrentClients(t *testing.T) {
 
 func TestConcurrentCallsOneClient(t *testing.T) {
 	_, addr := startEchoServer(t)
-	c, err := Dial(addr)
+	c, err := DialOpts(addr, ClientOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +228,7 @@ func TestServerCloseIdempotent(t *testing.T) {
 		t.Errorf("second close: %v", err)
 	}
 	// New connections fail after close.
-	if _, err := Dial(addr); err == nil {
+	if _, err := DialOpts(addr, ClientOptions{}); err == nil {
 		t.Error("dial succeeded after close")
 	}
 }
