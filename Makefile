@@ -43,21 +43,30 @@ chaos:
 	$(call go_test_run,-race -count=1 -timeout 180s -v,TestChaosEnforcementSurvivesOutage|TestAgentRunNotWedgedByDeadServer,./internal/integration/)
 	go test -race -count=1 -timeout 120s ./internal/faults/ ./internal/wire/
 
-# Durability plane: the randomized crash-recovery property (Kill + torn
-# journal tail, 50 seeded runs) and its second sweep across rotations
-# (concurrent submitters, un-synced tail lost, no observed decision lost),
-# the WAL decoder corruption suite, failed rotations, rotations that fall
-# due while a commit group is staged or a submission is in the decider, the
-# commit cadence, the checkpoint amortisation at cmd/grantd's defaults, the
-# parent commit's journal fixture, the overload/queue-timeout admission
-# tests, and the
-# end-to-end SIGKILL drill — a real grantd subprocess killed mid-storm must
-# restart on its journal, serve pre-kill decisions byte-identically,
-# re-decide in-flight work, and leave agents converged. All under the race
-# detector.
+# Durability plane. The shared record log first: the format's torn/corrupt
+# tail suite and crash-tail sweep, strict generation naming (stray files are
+# never replayed, numbered after or pruned), failed rotations and the rotation
+# cadence. Then grantd's journal on top of it: the randomized crash-recovery
+# property (Kill + torn journal tail, 50 seeded runs) and its second sweep
+# across rotations (concurrent submitters, un-synced tail lost, no observed
+# decision lost), the journal's own record-shape rejections, failed rotations
+# through the service, rotations that fall due while a commit group is staged
+# or a submission is in the decider, the commit cadence, the checkpoint
+# amortisation at cmd/grantd's defaults, the parent commit's journal fixture,
+# and the overload/queue-timeout admission tests. Then contractdb's contract
+# log: the crash-recovery property (50 seeds of put/replace/delete across
+# rotations, killed after a random write, un-synced tail torn), replay
+# rejections, the round trip and the log telemetry. And the two end-to-end
+# SIGKILL drills — a real grantd subprocess killed mid-storm must restart on
+# its journal, serve pre-kill decisions byte-identically, re-decide in-flight
+# work, and leave agents converged; a real contractdb subprocess killed
+# mid-storm must come back with every acknowledged put while no agent ever
+# leaves enforcement and grantd is not restarted. All under the race detector.
 crash:
+	go test -race -count=1 -timeout 120s ./internal/recordlog/
 	$(call go_test_run,-race -count=1 -timeout 300s,TestCrashRecoveryProperty|TestCrashRecoveryAcrossRotations|TestOverloadShed|TestQueueTimeout|TestWAL|TestReplayWAL|TestJournalCheckpointRotation|TestJournalFailedRotation|TestJournalAmortisedAtDefaults|TestGroupCommitSharesSyncs|TestRotationKeepsStagedGroup|TestCheckpointCarriesInflightSubmission|TestRecoverParentJournal|TestServiceCleanRestart,./internal/granting/)
-	$(call go_test_run,-race -count=1 -timeout 300s -v,TestGrantdCrashRecoverySockets,./internal/integration/)
+	$(call go_test_run,-race -count=1 -timeout 120s,TestStoreCrashRecoveryProperty|TestOpenStoreRejectsInvalid|TestSnapshotRoundTrip|TestLogTelemetry|TestServerDurableStoreSLOAndErrors,./internal/contractdb/)
+	$(call go_test_run,-race -count=1 -timeout 300s -v,TestGrantdCrashRecoverySockets|TestContractdbCrashRecoverySockets,./internal/integration/)
 
 build:
 	go build ./...
@@ -109,13 +118,13 @@ slo:
 	go test -race -count=1 -timeout 120s ./internal/slo/
 	$(call go_test_run,-race -count=1 -timeout 120s -v,TestSLOConformanceIncident,./internal/integration/)
 
-# Incident black box: lifecycle/budget/crash-tail unit tests, the capture
-# decoder's fuzz seed corpus, the drain-race accounting invariant, and the
-# golden end-to-end drill — a recorded incident must replay byte-identically
+# Incident black box: lifecycle/budget/crash-tail unit tests, the parent
+# commit's capture fixture, the capture decoder's fuzz seed corpus, the
+# drain-race accounting invariant, and the golden end-to-end drill — a recorded incident must replay byte-identically
 # through the real engine and the envelope must name the injected root cause.
 # All under the race detector.
 replay:
-	$(call go_test_run,-race -count=1 -timeout 180s,TestBlackbox|TestEnvelopeRoundtrip|TestDrainDropAccountingRace|FuzzBlackboxDecode,./internal/slo/)
+	$(call go_test_run,-race -count=1 -timeout 180s,TestBlackbox|TestReadParentCapture|TestEnvelopeRoundtrip|TestDrainDropAccountingRace|FuzzBlackboxDecode,./internal/slo/)
 	$(call go_test_run,-race -count=1 -timeout 180s -v,TestBlackboxIncidentReplay,./internal/integration/)
 
 bench:
@@ -162,14 +171,17 @@ wirecompat:
 	$(call go_test_run,-race -count=1 -timeout 120s,TestClientCodecMatrix|TestBinaryPutKeysDoNotAliasFrameBuffer,./internal/kvstore/)
 
 # Short fuzz pass over every parser that faces untrusted bytes: the wire
-# JSON framing and binary envelope, the journal replay path, the black-box
-# capture decoder, the traceparent codec, and the metrics text scraper.
+# JSON framing and binary envelope, the record log's frame scanner, the
+# journal replay and black-box capture decoders on top of it (record shapes,
+# folding arbitrary field values), the traceparent codec, and the metrics text
+# scraper.
 # ~30s per target keeps the whole pass under CI's patience while still
 # churning well past the seed corpus.
 FUZZTIME ?= 30s
 fuzz-smoke:
 	$(call go_test_fuzz,FuzzReadMessage,./internal/wire/)
 	$(call go_test_fuzz,FuzzBinaryFrameDecode,./internal/wire/)
+	$(call go_test_fuzz,FuzzRecordlogScan,./internal/recordlog/)
 	$(call go_test_fuzz,FuzzJournalReplay,./internal/granting/)
 	$(call go_test_fuzz,FuzzBlackboxDecode,./internal/slo/)
 	$(call go_test_fuzz,FuzzParseTraceContext,./internal/obs/trace/)

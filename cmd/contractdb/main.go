@@ -4,7 +4,14 @@
 //
 // Usage:
 //
-//	contractdb [-addr HOST:PORT] [-demo]
+//	contractdb [-addr HOST:PORT] [-dir DIR] [-demo]
+//
+// With -dir set every put is appended to a write-ahead log in DIR and fsynced
+// before it is acknowledged, so the contracts the fleet enforces survive a
+// crash or kill -9: a restart on the same directory replays the log and
+// prints what it recovered. Without it the database is memory-only and comes
+// back empty (grantd re-pushes its contracts only when grantd itself
+// restarts).
 package main
 
 import (
@@ -26,7 +33,7 @@ import (
 func main() {
 	addr := flag.String("addr", "127.0.0.1:7001", "listen address")
 	demo := flag.Bool("demo", false, "seed a demo Coldstorage contract")
-	snapshot := flag.String("snapshot", "", "JSON snapshot file: loaded at startup if present, written at shutdown")
+	dir := flag.String("dir", "", "contract log directory: replayed at startup, every put durable before it is acknowledged (empty keeps contracts in memory only)")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /healthz and /debug/pprof on this address (empty disables)")
 	logLevel := flag.String("log-level", "info", "log level: debug, info, warn, error")
 	logJSON := flag.Bool("log-json", false, "emit logs as JSON instead of text")
@@ -49,16 +56,16 @@ func main() {
 	}
 
 	store := contractdb.NewStore()
-	if *snapshot != "" {
-		if f, err := os.Open(*snapshot); err == nil {
-			if err := store.LoadFrom(f); err != nil {
-				f.Close()
-				fmt.Fprintf(os.Stderr, "contractdb: load snapshot: %v\n", err)
-				os.Exit(1)
-			}
-			f.Close()
-			fmt.Printf("loaded %d contracts from %s\n", len(store.List()), *snapshot)
+	if *dir != "" {
+		if store, err = contractdb.OpenStore(*dir); err != nil {
+			fmt.Fprintf(os.Stderr, "contractdb: %v\n", err)
+			os.Exit(1)
 		}
+		rec := store.Recovery()
+		fmt.Printf("contractdb recovered %d contracts from %d records, truncated=%v (%s)\n",
+			store.Len(), rec.Records, rec.Truncated, *dir)
+		logger.Info("contract log recovered", "dir", *dir,
+			"contracts", store.Len(), "records", rec.Records, "truncated", rec.Truncated)
 	}
 	if *demo {
 		now := time.Now().UTC()
@@ -95,16 +102,7 @@ func main() {
 	fmt.Println("contractdb shutting down")
 	logger.Info("contractdb shutting down")
 	srv.Close()
-	if *snapshot != "" {
-		f, err := os.Create(*snapshot)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "contractdb: save snapshot: %v\n", err)
-			os.Exit(1)
-		}
-		if err := store.SaveTo(f); err != nil {
-			fmt.Fprintf(os.Stderr, "contractdb: save snapshot: %v\n", err)
-		}
-		f.Close()
-		fmt.Printf("saved %d contracts to %s\n", len(store.List()), *snapshot)
+	if err := store.Close(); err != nil {
+		fmt.Fprintf(os.Stderr, "contractdb: close log: %v\n", err)
 	}
 }

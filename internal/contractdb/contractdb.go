@@ -4,13 +4,13 @@
 // query it for the entitled rate matching their host's flow set.
 //
 // Like kvstore, it offers an in-process Store and a TCP Server/Client pair;
-// both satisfy Database.
+// both satisfy Database. Unlike kvstore's soft state, contracts are what the
+// fleet enforces, so a Store opened on a directory (OpenStore, log.go) logs
+// every mutation ahead of acknowledging it and survives kill -9.
 package contractdb
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"net"
 	"sort"
 	"sync"
@@ -18,6 +18,7 @@ import (
 
 	"entitlement/internal/contract"
 	"entitlement/internal/obs/trace"
+	"entitlement/internal/recordlog"
 	"entitlement/internal/topology"
 	"entitlement/internal/wire"
 	schemav1 "entitlement/schema/v1"
@@ -30,21 +31,35 @@ type Database interface {
 	EntitledRate(npg contract.NPG, class contract.Class, region topology.Region, dir contract.Direction, at time.Time) (float64, bool, error)
 }
 
-// Store is the in-memory contract database.
+// Store is the contract database: a map in memory, behind a write-ahead log
+// when it was opened on a directory.
 type Store struct {
 	mu        sync.RWMutex
 	contracts map[contract.NPG]contract.Contract
+
+	// logMu serializes mutations through the log. Readers never take it, so
+	// an entitled_rate query does not wait behind an fsync.
+	logMu    sync.Mutex
+	log      *recordlog.Log // nil: memory only (NewStore)
+	torn     bool           // an append failed; the generation's tail is suspect
+	recovery Recovery
 }
 
-// NewStore creates an empty database.
+// NewStore creates an empty memory-only database.
 func NewStore() *Store {
 	return &Store{contracts: make(map[contract.NPG]contract.Contract)}
 }
 
-// Put validates and stores (or replaces) a contract.
+// Put validates and stores (or replaces) a contract. On a durable store the
+// contract is on disk before it is visible or acknowledged; if it cannot be
+// logged it is not stored.
 func (s *Store) Put(c contract.Contract) error {
 	if err := c.Validate(); err != nil {
 		return err
+	}
+	if s.log != nil {
+		logged := c // only this copy escapes: a memory-only put allocates nothing
+		return s.logged(&logRecord{T: "put", Put: &logged})
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -60,11 +75,15 @@ func (s *Store) Get(npg contract.NPG) (contract.Contract, bool) {
 	return c, ok
 }
 
-// Delete removes a contract.
-func (s *Store) Delete(npg contract.NPG) {
+// Delete removes a contract, write-ahead like Put.
+func (s *Store) Delete(npg contract.NPG) error {
+	if s.log != nil {
+		return s.logged(&logRecord{T: "del", Del: npg})
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	delete(s.contracts, npg)
+	return nil
 }
 
 // Len returns the number of stored contracts.
@@ -296,33 +315,3 @@ var (
 	_ Database = (*Store)(nil)
 	_ Database = (*Client)(nil)
 )
-
-// SaveTo writes a JSON snapshot of every contract, for durability across
-// restarts (the production database is replicated; a snapshot suffices for
-// the single-node reproduction).
-func (s *Store) SaveTo(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(s.List())
-}
-
-// LoadFrom replaces the store's contents with a snapshot written by SaveTo.
-// Every contract is validated; on any error the store is left unchanged.
-func (s *Store) LoadFrom(r io.Reader) error {
-	var contracts []contract.Contract
-	if err := json.NewDecoder(r).Decode(&contracts); err != nil {
-		return fmt.Errorf("contractdb: decode snapshot: %w", err)
-	}
-	for i := range contracts {
-		if err := contracts[i].Validate(); err != nil {
-			return fmt.Errorf("contractdb: snapshot contract %d: %w", i, err)
-		}
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.contracts = make(map[contract.NPG]contract.Contract, len(contracts))
-	for _, c := range contracts {
-		s.contracts[c.NPG] = c
-	}
-	return nil
-}

@@ -1,7 +1,6 @@
 package contractdb
 
 import (
-	"bytes"
 	"errors"
 	"net"
 	"strings"
@@ -9,6 +8,7 @@ import (
 	"time"
 
 	"entitlement/internal/contract"
+	"entitlement/internal/obs/trace"
 	"entitlement/internal/wire"
 	schemav1 "entitlement/schema/v1"
 )
@@ -204,45 +204,86 @@ func TestServerParsesDirectionStrictly(t *testing.T) {
 	}
 }
 
-func TestSnapshotRoundTrip(t *testing.T) {
-	s := NewStore()
-	s.Put(adsContract(true))
-	s.Put(contract.Contract{NPG: "Logging", SLO: 0.99, Approved: false})
-	var buf bytes.Buffer
-	if err := s.SaveTo(&buf); err != nil {
+// TestServerDurableStoreSLOAndErrors serves a durable store over TCP: a put
+// acknowledged to a client is on disk, the SLO queries read the approval
+// record, malformed requests are errors on the wire, and a dead server is an
+// error on every client method rather than "no contract".
+func TestServerDurableStoreSLOAndErrors(t *testing.T) {
+	dir := t.TempDir()
+	store, err := OpenStore(dir)
+	if err != nil {
 		t.Fatal(err)
 	}
-	restored := NewStore()
-	if err := restored.LoadFrom(&buf); err != nil {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if len(restored.List()) != 2 {
-		t.Fatalf("restored %d contracts", len(restored.List()))
+	srv := NewServerOpts(l, store, wire.ServerOptions{Service: "contractdb"})
+	c := Connect(srv.Addr(), wire.ClientOptions{}) // dials on first use
+	defer c.Close()
+	c.SetSpan(trace.Context{})
+	if err := c.Put(adsContract(true)); err != nil {
+		t.Fatal(err)
 	}
-	rate, found, err := restored.EntitledRate("Ads", contract.ClassA, "A", contract.Egress, t0.Add(time.Hour))
-	if err != nil || !found || rate != 1e12 {
-		t.Errorf("restored rate = %v %v %v", rate, found, err)
+	if err := c.Put(contract.Contract{NPG: "Logging", SLO: 0.99, Approved: false}); err != nil {
+		t.Fatal(err)
 	}
-	// Entitlement period times survive the round trip.
-	c, _ := restored.Get("Ads")
-	if !c.Entitlements[0].Start.Equal(t0) {
-		t.Errorf("start = %v, want %v", c.Entitlements[0].Start, t0)
+	if slo, found, err := c.SLO("Ads"); err != nil || !found || slo != 0.9998 {
+		t.Errorf("SLO(Ads) = %v %v %v", slo, found, err)
 	}
-}
+	for _, npg := range []contract.NPG{"Logging", "Nope"} { // unapproved, unknown
+		if _, found, err := c.SLO(npg); err != nil || found {
+			t.Errorf("SLO(%s) = found %v, %v", npg, found, err)
+		}
+	}
+	if got := store.Objectives(); len(got) != 1 || got["Ads"] != 0.9998 {
+		t.Errorf("Objectives = %v", got)
+	}
 
-func TestLoadFromRejectsInvalid(t *testing.T) {
-	s := NewStore()
-	s.Put(adsContract(true))
-	// Malformed JSON.
-	if err := s.LoadFrom(strings.NewReader("{not json")); err == nil {
-		t.Error("malformed snapshot accepted")
+	raw, err := wire.DialOpts(srv.Addr(), wire.ClientOptions{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Invalid contract in snapshot.
-	if err := s.LoadFrom(strings.NewReader(`[{"NPG":"","SLO":0.5}]`)); err == nil {
-		t.Error("invalid contract accepted")
+	defer raw.Close()
+	for name, call := range map[string]func() error{
+		"unknown method":   func() error { return raw.Call("drop_table", nil, nil) },
+		"unknown class":    func() error { return raw.Call("entitled_rate", &schemav1.DBRateQuery{NPG: "Ads", Class: "gold"}, nil) },
+		"rate payload":     func() error { return raw.Call("entitled_rate", []int{1}, nil) },
+		"slo payload":      func() error { return raw.Call("get_slo", []int{1}, nil) },
+		"contract payload": func() error { return raw.Call("put_contract", "not a contract", nil) },
+	} {
+		var re *wire.RemoteError
+		if err := call(); !errors.As(err, &re) {
+			t.Errorf("%s: %v, want a RemoteError", name, err)
+		}
 	}
-	// Store unchanged after failed loads.
-	if _, ok := s.Get("Ads"); !ok {
-		t.Error("failed load wiped the store")
+
+	srv.Close()
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := c.EntitledRate("Ads", contract.ClassA, "A", contract.Egress, t0.Add(time.Hour)); err == nil {
+		t.Error("EntitledRate against a dead server reported no error")
+	}
+	if _, _, err := c.SLO("Ads"); err == nil {
+		t.Error("SLO against a dead server reported no error")
+	}
+	if _, err := c.List(); err == nil {
+		t.Error("List against a dead server reported no error")
+	}
+	if _, err := Dial(srv.Addr()); err == nil {
+		t.Error("dialed a dead server")
+	}
+
+	reopened, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	if got := reopened.List(); len(got) != 2 || got[0].NPG != "Ads" || got[1].NPG != "Logging" {
+		t.Errorf("puts acknowledged over the wire, after a restart: %v", got)
+	}
+	if len(SchemaDefs()) == 0 {
+		t.Error("no schema definitions registered")
 	}
 }

@@ -1,17 +1,10 @@
 // The write-ahead decision journal: grantd is the system of record for every
 // entitlement, so an accepted submission and a decided batch must both
-// survive a crash. The journal is an append-only sequence of length-prefixed,
-// CRC-checksummed records in generation-numbered files; a checkpoint record
-// opens each generation with a full state snapshot, so replay is "latest
-// checkpoint + everything after it" and old generations can be deleted.
-//
-// Record framing (all integers big-endian):
-//
-//	4 bytes  payload length n (0 < n <= maxWALRecord)
-//	4 bytes  CRC-32C (Castagnoli) of the payload
-//	n bytes  payload: one JSON-encoded walRecord
-//
-// Record types:
+// survive a crash. The journal is a recordlog.Log (framing, generation files
+// wal-%016d.log, valid-prefix replay and rotation live there; DESIGN.md §11):
+// a checkpoint record opens each generation with a full state snapshot, so
+// replay is "latest checkpoint + everything after it" and old generations can
+// be deleted. Each payload is one JSON-encoded walRecord:
 //
 //	sub   submission accepted: ids + validated requests (StartUnix pinned)
 //	dec   batch decided: canonical batch signature + per-request decisions
@@ -19,9 +12,9 @@
 //
 // Recovery invariants (pinned by the crash property test):
 //
-//   - Replay tolerates a torn tail: decoding stops at the first record whose
-//     header, length, checksum, or body is invalid, keeps the valid prefix,
-//     and never fails or panics on arbitrary bytes (FuzzJournalReplay).
+//   - Replay tolerates a torn tail: it keeps the valid prefix, which also
+//     ends at a record of unknown type or inconsistent shape, and never fails
+//     or panics on arbitrary bytes (FuzzJournalReplay).
 //   - A request id whose dec record survived is served byte-identically
 //     after restart: the decision JSON round-trips exactly (encoding/json
 //     renders float64 shortest-roundtrip, so equal structs re-render to
@@ -38,18 +31,11 @@
 package granting
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/binary"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
-	"os"
-	"path/filepath"
-	"sort"
 	"time"
+
+	"entitlement/internal/recordlog"
 )
 
 // FsyncPolicy says when the journal calls fsync.
@@ -96,10 +82,10 @@ type WALOptions struct {
 	// size. Default 1 MiB.
 	CheckpointBytes int64
 
-	// create makes an empty generation file; nil means createWALFile. The
+	// create makes an empty generation file; nil creates it on disk. The
 	// crash tests substitute files that fail on cue and record what a
 	// completed sync covers.
-	create func(path string) (walFile, error)
+	create func(path string) (recordlog.File, error)
 }
 
 func (o WALOptions) withDefaults() WALOptions {
@@ -109,29 +95,11 @@ func (o WALOptions) withDefaults() WALOptions {
 	if o.CheckpointBytes <= 0 {
 		o.CheckpointBytes = 1 << 20
 	}
-	if o.create == nil {
-		o.create = createWALFile
-	}
 	return o
 }
 
-// createWALFile creates (or empties) a generation file on disk.
-func createWALFile(path string) (walFile, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	return f, nil
-}
-
-// maxWALRecord bounds one record's payload; a length prefix beyond it marks
-// a corrupt (or torn) tail. Matches the wire layer's frame bound.
-const maxWALRecord = 16 << 20
-
-// walHeaderSize is the fixed per-record framing overhead.
-const walHeaderSize = 8
-
-var walCRC = crc32.MakeTable(crc32.Castagnoli)
+// walNames names the journal's generation files.
+var walNames = recordlog.Names{Prefix: "wal-", Suffix: ".log"}
 
 // walSub journals one accepted submission (a group decides atomically).
 type walSub struct {
@@ -170,76 +138,22 @@ type walRecord struct {
 	Ckpt *walCkpt `json:"ckpt,omitempty"`
 }
 
-// walEncoder frames records into one reusable buffer, so a 1.5 MB snapshot
-// costs no record-sized garbage once the buffer has grown to fit it. The
-// slice encode returns is valid until the next encode.
-type walEncoder struct {
-	buf bytes.Buffer
-	enc *json.Encoder
-}
-
-// encode frames one record; the returned slice includes the header. The
-// payload bytes are exactly json.Marshal(rec).
-func (e *walEncoder) encode(rec *walRecord) ([]byte, error) {
-	if e.enc == nil {
-		e.enc = json.NewEncoder(&e.buf)
+// decodeWALRecord parses one journal payload. A record of unknown type or
+// inconsistent with itself is rejected: replay cannot interpret anything
+// after it soundly, so it ends the valid prefix.
+func decodeWALRecord(payload []byte) (*walRecord, bool) {
+	rec := new(walRecord)
+	if err := json.Unmarshal(payload, rec); err != nil {
+		return nil, false
 	}
-	e.buf.Reset()
-	var hdr [walHeaderSize]byte
-	e.buf.Write(hdr[:])
-	if err := e.enc.Encode(rec); err != nil {
-		return nil, fmt.Errorf("granting: journal encode: %w", err)
+	switch {
+	case rec.T == "sub" && rec.Sub != nil && len(rec.Sub.IDs) == len(rec.Sub.Reqs) && len(rec.Sub.IDs) > 0:
+	case rec.T == "dec" && rec.Dec != nil && len(rec.Dec.IDs) == len(rec.Dec.Decs) && len(rec.Dec.IDs) > 0:
+	case rec.T == "ckpt" && rec.Ckpt != nil:
+	default:
+		return nil, false
 	}
-	frame := e.buf.Bytes()
-	frame = frame[:len(frame)-1] // Encode's trailing newline is not payload
-	body := frame[walHeaderSize:]
-	if len(body) > maxWALRecord {
-		return nil, fmt.Errorf("granting: journal record %d bytes exceeds %d", len(body), maxWALRecord)
-	}
-	binary.BigEndian.PutUint32(frame[0:4], uint32(len(body)))
-	binary.BigEndian.PutUint32(frame[4:8], crc32.Checksum(body, walCRC))
-	return frame, nil
-}
-
-// decodeWALStream reads records until EOF or the first invalid record. It
-// never fails on arbitrary bytes: a torn or corrupt tail ends the decode
-// with truncated=true and valid holding the byte offset of the last good
-// record boundary — exactly where a re-opened journal must truncate.
-func decodeWALStream(r io.Reader) (recs []walRecord, valid int64, truncated bool) {
-	var hdr [walHeaderSize]byte
-	for {
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			// Clean EOF at a record boundary is a well-formed end; a
-			// partial header is a torn tail.
-			return recs, valid, !errors.Is(err, io.EOF)
-		}
-		n := binary.BigEndian.Uint32(hdr[0:4])
-		if n == 0 || n > maxWALRecord {
-			return recs, valid, true
-		}
-		body := make([]byte, n)
-		if _, err := io.ReadFull(r, body); err != nil {
-			return recs, valid, true
-		}
-		if crc32.Checksum(body, walCRC) != binary.BigEndian.Uint32(hdr[4:8]) {
-			return recs, valid, true
-		}
-		var rec walRecord
-		if err := json.Unmarshal(body, &rec); err != nil {
-			return recs, valid, true
-		}
-		switch {
-		case rec.T == "sub" && rec.Sub != nil && len(rec.Sub.IDs) == len(rec.Sub.Reqs) && len(rec.Sub.IDs) > 0:
-		case rec.T == "dec" && rec.Dec != nil && len(rec.Dec.IDs) == len(rec.Dec.Decs) && len(rec.Dec.IDs) > 0:
-		case rec.T == "ckpt" && rec.Ckpt != nil:
-		default:
-			// Unknown type or self-inconsistent record: replay cannot
-			// interpret anything after it soundly, so stop here.
-			return recs, valid, true
-		}
-		recs = append(recs, rec)
-		valid += walHeaderSize + int64(n)
-	}
+	return rec, true
 }
 
 // Recovered is the state replayed from a journal directory.
@@ -258,31 +172,6 @@ type Recovered struct {
 	Records int
 	// Truncated reports that a torn or corrupt tail was dropped somewhere.
 	Truncated bool
-}
-
-// walGen names one generation file.
-func walGen(dir string, gen uint64) string {
-	return filepath.Join(dir, fmt.Sprintf("wal-%016d.log", gen))
-}
-
-// listWALGens returns the generation numbers present in dir, ascending.
-func listWALGens(dir string) ([]uint64, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			return nil, nil
-		}
-		return nil, err
-	}
-	var gens []uint64
-	for _, e := range entries {
-		var g uint64
-		if _, err := fmt.Sscanf(e.Name(), "wal-%d.log", &g); err == nil {
-			gens = append(gens, g)
-		}
-	}
-	sort.Slice(gens, func(a, b int) bool { return gens[a] < gens[b] })
-	return gens, nil
 }
 
 // applyWALRecord folds one record into the recovered state.
@@ -345,43 +234,25 @@ func (st *Recovered) bumpSeq(ids []string) {
 }
 
 // ReplayWAL replays every journal generation in dir into a recovered state.
-// A missing or empty directory recovers to zero state. Torn or corrupt
-// tails truncate that generation's replay; a mid-sequence generation ending
-// torn is tolerated because the next generation opens with a checkpoint
-// that resets the state wholesale.
+// A missing or empty directory recovers to zero state; a generation's torn or
+// corrupt tail truncates that generation's replay only.
 func ReplayWAL(dir string) (*Recovered, error) {
 	st := &Recovered{}
-	gens, err := listWALGens(dir)
+	truncated, err := recordlog.Replay(dir, walNames, func(payload []byte) bool {
+		rec, ok := decodeWALRecord(payload)
+		if ok {
+			st.applyWALRecord(rec)
+			st.Records++
+		}
+		return ok
+	})
 	if err != nil {
-		return nil, fmt.Errorf("granting: journal scan: %w", err)
+		return nil, fmt.Errorf("granting: journal replay: %w", err)
 	}
-	for _, g := range gens {
-		f, err := os.Open(walGen(dir, g))
-		if err != nil {
-			return nil, fmt.Errorf("granting: journal open: %w", err)
-		}
-		// Buffered: the decoder reads each record's header and body
-		// separately, which on the bare file is two syscalls a record.
-		recs, _, truncated := decodeWALStream(bufio.NewReader(f))
-		f.Close()
-		for i := range recs {
-			st.applyWALRecord(&recs[i])
-		}
-		st.Records += len(recs)
-		if truncated {
-			st.Truncated = true
-			mJournalReplayTruncations.Inc()
-		}
-	}
+	st.Truncated = truncated > 0
+	mJournalReplayTruncations.Add(int64(truncated))
 	mJournalReplayRecords.Add(int64(st.Records))
 	return st, nil
-}
-
-// walFile is what the journal needs of a generation file.
-type walFile interface {
-	io.Writer
-	Sync() error
-	Close() error
 }
 
 // Journal is the service's append handle. Every method but awaitCommitSlot
@@ -389,16 +260,9 @@ type walFile interface {
 // submitters, the decider and the committer), so the Journal itself carries
 // no lock.
 type Journal struct {
-	dir       string
-	policy    FsyncPolicy
-	ckptEvery int64
-	create    func(path string) (walFile, error)
-	gen       uint64
-	f         walFile
-	size      int64 // bytes appended to the current generation after its snapshot
-	rotateAt  int64 // size at which the next checkpoint is due
-	enc       walEncoder
-	lastSlot  time.Time // the latest commit slot (FsyncBatch)
+	log      *recordlog.Log
+	policy   FsyncPolicy
+	lastSlot time.Time // the latest commit slot (FsyncBatch)
 }
 
 // openJournal replays dir, then begins a fresh generation with a checkpoint
@@ -406,22 +270,15 @@ type Journal struct {
 // never appended to, and restart cost stays bounded by the snapshot size.
 func openJournal(o WALOptions) (*Journal, *Recovered, error) {
 	o = o.withDefaults()
-	if err := os.MkdirAll(o.Dir, 0o755); err != nil {
-		return nil, nil, fmt.Errorf("granting: journal dir: %w", err)
-	}
 	st, err := ReplayWAL(o.Dir)
 	if err != nil {
 		return nil, nil, err
 	}
-	gens, err := listWALGens(o.Dir)
+	log, err := recordlog.Open(o.Dir, walNames, o.CheckpointBytes, o.create)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("granting: journal: %w", err)
 	}
-	var next uint64 = 1
-	if len(gens) > 0 {
-		next = gens[len(gens)-1] + 1
-	}
-	j := &Journal{dir: o.Dir, policy: o.Fsync, ckptEvery: o.CheckpointBytes, create: o.create, gen: next - 1}
+	j := &Journal{log: log, policy: o.Fsync}
 	if err := j.checkpoint(&walCkpt{
 		Seq:     st.Seq,
 		Stats:   st.Stats,
@@ -433,35 +290,29 @@ func openJournal(o WALOptions) (*Journal, *Recovered, error) {
 	return j, st, nil
 }
 
-// sync fsyncs f and counts the call.
-func (j *Journal) sync(f walFile) error {
-	if err := f.Sync(); err != nil {
-		return fmt.Errorf("granting: journal sync: %w", err)
+// sync makes the current generation durable and counts the call.
+func (j *Journal) sync() error {
+	err := j.log.Sync()
+	if err == nil {
+		mJournalFsyncs.Inc()
 	}
-	mJournalFsyncs.Inc()
-	return nil
+	return err
 }
 
 // append frames rec, writes it to the current generation, and under
 // FsyncAlways syncs it.
 func (j *Journal) append(rec *walRecord) error {
-	buf, err := j.enc.encode(rec)
+	n, err := j.log.Append(rec)
+	if err == nil {
+		mJournalRecords.With(rec.T).Inc()
+		mJournalBytes.Add(int64(n))
+		if j.policy == FsyncAlways {
+			err = j.sync()
+		}
+	}
 	if err != nil {
 		mJournalErrors.Inc()
-		return err
-	}
-	if _, err := j.f.Write(buf); err != nil {
-		mJournalErrors.Inc()
-		return fmt.Errorf("granting: journal append: %w", err)
-	}
-	j.size += int64(len(buf))
-	mJournalRecords.With(rec.T).Inc()
-	mJournalBytes.Add(int64(len(buf)))
-	if j.policy == FsyncAlways {
-		if err := j.sync(j.f); err != nil {
-			mJournalErrors.Inc()
-			return err
-		}
+		return fmt.Errorf("granting: journal: %w", err)
 	}
 	return nil
 }
@@ -517,93 +368,41 @@ func (j *Journal) awaitCommitSlot() {
 // durable. It is called without the service mutex (appends may go on beside
 // it; only the caller's goroutine rotates) and counts its own failures.
 func (j *Journal) commit() {
-	if err := j.sync(j.f); err != nil {
+	if err := j.sync(); err != nil {
 		mJournalErrors.Inc()
 	}
 }
 
-// needCheckpoint reports whether the log appended after the generation's
-// snapshot has reached the rotation bound, max(CheckpointBytes, snapshot
-// bytes): the snapshot is rewritten only once as many bytes of records have
-// followed it, so write amplification and replay size both stay within 2x
-// of the log however large Retain makes the snapshot.
-func (j *Journal) needCheckpoint() bool { return j.size >= j.rotateAt }
+// needCheckpoint reports whether the next checkpoint is due: the records
+// appended after the generation's snapshot outweigh max(CheckpointBytes,
+// snapshot bytes) — recordlog.Log.Due has the reasoning.
+func (j *Journal) needCheckpoint() bool { return j.log.Due() }
 
-// checkpoint rotates to a new generation: write the snapshot record into
-// the next generation's file, sync it (unless FsyncNone), and only then
-// switch appends over and delete every older generation — a crash at any
-// point replays a generation that opens with a complete snapshot. If the
-// new generation cannot be written the journal keeps appending to the
-// current one, which stays the replay source; the failure is counted and
-// the rotation retried after another CheckpointBytes of log.
+// checkpoint rotates to a new generation opened by ck, durable unless
+// FsyncNone, and prunes the older ones. If the new generation cannot be
+// written the journal keeps appending to the current one, which stays the
+// replay source; the failure is counted and the rotation retried after
+// another CheckpointBytes of log.
 func (j *Journal) checkpoint(ck *walCkpt) error {
-	gen := j.gen + 1
-	buf, err := j.enc.encode(&walRecord{T: "ckpt", Ckpt: ck})
-	var f walFile
-	if err == nil {
-		f, err = j.writeGeneration(walGen(j.dir, gen), buf)
-	}
+	durable := j.policy != FsyncNone
+	n, err := j.log.Rotate(&walRecord{T: "ckpt", Ckpt: ck}, durable)
 	if err != nil {
 		mJournalErrors.Inc()
-		j.rotateAt = j.size + j.ckptEvery
-		return err
+		return fmt.Errorf("granting: journal: %w", err)
 	}
-	old := j.f
-	j.f, j.gen, j.size = f, gen, 0
-	j.rotateAt = max(j.ckptEvery, int64(len(buf)))
 	mJournalRecords.With("ckpt").Inc()
-	mJournalBytes.Add(int64(len(buf)))
+	mJournalBytes.Add(int64(n))
 	mJournalCheckpoints.Inc()
-	if j.policy != FsyncNone {
-		if d, derr := os.Open(j.dir); derr == nil {
-			d.Sync()
-			d.Close()
-		}
-	}
-	if old != nil {
-		old.Close()
-	}
-	gens, err := listWALGens(j.dir)
-	if err != nil {
-		return nil // pruning is best-effort; replay tolerates extra gens
-	}
-	for _, g := range gens {
-		if g < gen {
-			os.Remove(walGen(j.dir, g))
-		}
+	if durable {
+		mJournalFsyncs.Inc()
 	}
 	return nil
 }
 
-// writeGeneration creates path holding exactly the framed snapshot, durable
-// unless FsyncNone. On failure nothing of the file is left behind.
-func (j *Journal) writeGeneration(path string, snapshot []byte) (walFile, error) {
-	f, err := j.create(path)
-	if err != nil {
-		return nil, fmt.Errorf("granting: journal rotate: %w", err)
-	}
-	if _, err = f.Write(snapshot); err != nil {
-		err = fmt.Errorf("granting: journal rotate: %w", err)
-	} else if j.policy != FsyncNone {
-		err = j.sync(f)
-	}
-	if err != nil {
-		f.Close()
-		os.Remove(path)
-		return nil, err
-	}
-	return f, nil
-}
-
 // Close syncs and closes the current generation.
 func (j *Journal) Close() error {
-	if j.f == nil {
-		return nil
-	}
 	if j.policy != FsyncNone {
-		j.f.Sync()
+		j.log.Sync()
 	}
-	err := j.f.Close()
-	j.f = nil
-	return err
+	return j.log.Close()
 }

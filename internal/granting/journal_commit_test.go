@@ -19,6 +19,7 @@ import (
 	"entitlement/internal/contract"
 	"entitlement/internal/faults"
 	"entitlement/internal/hose"
+	"entitlement/internal/recordlog"
 	"entitlement/internal/topology"
 )
 
@@ -91,7 +92,7 @@ type walFiles struct {
 
 func newWALFiles() *walFiles { return &walFiles{files: make(map[string]*trackedFile)} }
 
-func (w *walFiles) create(path string) (walFile, error) {
+func (w *walFiles) create(path string) (recordlog.File, error) {
 	if w.crashed.Load() {
 		return nil, errCrashed
 	}
@@ -196,9 +197,9 @@ func fourHosePool() []Request {
 func TestWALEncoderBytesAndReuse(t *testing.T) {
 	recs := walTestRecords()
 	recs = append(recs, walRecord{T: "sub", Sub: &walSub{IDs: []string{"g-<&>"}, Reqs: testRequests()[:1]}})
-	var enc walEncoder
+	var enc recordlog.Encoder
 	for i := range recs {
-		got, err := enc.encode(&recs[i])
+		got, err := enc.Encode(&recs[i])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -206,9 +207,9 @@ func TestWALEncoderBytesAndReuse(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := make([]byte, walHeaderSize, walHeaderSize+len(body))
+		want := make([]byte, recordlog.HeaderSize, recordlog.HeaderSize+len(body))
 		binary.BigEndian.PutUint32(want[0:4], uint32(len(body)))
-		binary.BigEndian.PutUint32(want[4:8], crc32.Checksum(body, walCRC))
+		binary.BigEndian.PutUint32(want[4:8], crc32.Checksum(body, crc32.MakeTable(crc32.Castagnoli)))
 		want = append(want, body...)
 		if !bytes.Equal(got, want) {
 			t.Fatalf("record %d framed differently:\nwant %q\ngot  %q", i, want, got)
@@ -222,7 +223,7 @@ func TestWALEncoderBytesAndReuse(t *testing.T) {
 		}})
 	}
 	snap := &walRecord{T: "ckpt", Ckpt: ck}
-	frame, err := enc.encode(snap)
+	frame, err := enc.Encode(snap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +235,7 @@ func TestWALEncoderBytesAndReuse(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < rounds; i++ {
-		if _, err := enc.encode(snap); err != nil {
+		if _, err := enc.Encode(snap); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -290,8 +291,12 @@ func TestJournalFailedRotation(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			current := walGen(dir, svc.j.gen)
-			next := walGen(dir, svc.j.gen+1)
+			gens, err := walNames.List(dir)
+			if err != nil || len(gens) != 1 {
+				t.Fatalf("generations after open: %v (%v), want one", gens, err)
+			}
+			current := walNames.Path(dir, gens[0])
+			next := walNames.Path(dir, gens[0]+1)
 			unblock := tc.block(t, w, next)
 
 			served := make(map[string][]byte)
@@ -317,10 +322,10 @@ func TestJournalFailedRotation(t *testing.T) {
 			// Waiters are released before the decider rotates, so a retry
 			// may be in flight: its file must be gone soon, not now.
 			if !tc.squats && !eventually(func() bool {
-				gens, _ := listWALGens(dir)
-				return len(gens) == 1 && walGen(dir, gens[0]) == current
+				gens, _ := walNames.List(dir)
+				return len(gens) == 1 && walNames.Path(dir, gens[0]) == current
 			}) {
-				gens, _ := listWALGens(dir)
+				gens, _ := walNames.List(dir)
 				t.Fatalf("generations after failed rotation: %v, want only %s", gens, current)
 			}
 			st, err := ReplayWAL(dir)
@@ -399,15 +404,15 @@ func TestJournalAmortisedAtDefaults(t *testing.T) {
 
 	// What a restart has to read: at most the snapshot, a snapshot's worth
 	// of log (or CheckpointBytes, whichever is larger), and a record.
-	gens, err := listWALGens(dir)
+	gens, err := walNames.List(dir)
 	if err != nil || len(gens) != 1 {
 		t.Fatalf("generations after kill: %v (%v), want one", gens, err)
 	}
-	data, err := os.ReadFile(walGen(dir, gens[0]))
+	data, err := os.ReadFile(walNames.Path(dir, gens[0]))
 	if err != nil {
 		t.Fatal(err)
 	}
-	snapshot := int64(walHeaderSize + binary.BigEndian.Uint32(data[0:4]))
+	snapshot := int64(recordlog.HeaderSize + binary.BigEndian.Uint32(data[0:4]))
 	if snapshot <= opts.WAL.withDefaults().CheckpointBytes {
 		t.Fatalf("snapshot is %d bytes: the ring is not in the regime this test pins", snapshot)
 	}
@@ -500,11 +505,11 @@ func TestCrashRecoveryAcrossRotations(t *testing.T) {
 			close(stop)
 			wg.Wait()
 
-			gens, err := listWALGens(dir)
+			gens, err := walNames.List(dir)
 			if err != nil || len(gens) == 0 {
 				t.Fatalf("no journal generations: %v", err)
 			}
-			last := walGen(dir, gens[len(gens)-1])
+			last := walNames.Path(dir, gens[len(gens)-1])
 			fi, err := os.Stat(last)
 			if err != nil {
 				t.Fatal(err)
@@ -801,17 +806,17 @@ func TestRecoverParentJournal(t *testing.T) {
 		t.Fatalf("replayed state differs from the parent commit's:\nwant %s\ngot  %s", want, got)
 	}
 
-	gens, _ := listWALGens(dir)
-	var enc walEncoder
+	gens, _ := walNames.List(dir)
+	var enc recordlog.Encoder
 	for _, g := range gens {
-		data, err := os.ReadFile(walGen(dir, g))
+		data, err := os.ReadFile(walNames.Path(dir, g))
 		if err != nil {
 			t.Fatal(err)
 		}
 		recs, valid, _ := decodeWALStream(bytes.NewReader(data))
 		var again []byte
 		for i := range recs {
-			b, err := enc.encode(&recs[i])
+			b, err := enc.Encode(&recs[i])
 			if err != nil {
 				t.Fatal(err)
 			}

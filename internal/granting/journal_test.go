@@ -2,13 +2,14 @@ package granting
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
 	"time"
 
+	"entitlement/internal/recordlog"
 	"entitlement/internal/topology"
 )
 
@@ -27,7 +28,20 @@ func walTestRecords() []walRecord {
 }
 
 // encodeWALRecord frames one record with a throwaway encoder.
-func encodeWALRecord(rec *walRecord) ([]byte, error) { return new(walEncoder).encode(rec) }
+func encodeWALRecord(rec *walRecord) ([]byte, error) { return new(recordlog.Encoder).Encode(rec) }
+
+// decodeWALStream collects the records of the stream's valid prefix, the way
+// ReplayWAL reads one generation.
+func decodeWALStream(r io.Reader) (recs []walRecord, valid int64, truncated bool) {
+	valid, truncated = recordlog.Scan(r, func(payload []byte) bool {
+		rec, ok := decodeWALRecord(payload)
+		if ok {
+			recs = append(recs, *rec)
+		}
+		return ok
+	})
+	return recs, valid, truncated
+}
 
 func encodeAll(t *testing.T, recs []walRecord) []byte {
 	t.Helper()
@@ -62,9 +76,11 @@ func TestWALRecordRoundtrip(t *testing.T) {
 	}
 }
 
-// TestWALDecodeTornAndCorrupt drives every invalid-tail shape through the
-// decoder: it must keep the valid prefix, report truncation, and never
-// error or panic.
+// TestWALDecodeTornAndCorrupt drives the invalid-tail shapes that are the
+// journal's own through the decoder: a well-framed record it cannot interpret
+// ends the valid prefix exactly like a torn one. (Torn header, torn body, CRC
+// flip, zero and oversized length, and garbage are the format's cases:
+// recordlog.TestScanTornAndCorrupt.)
 func TestWALDecodeTornAndCorrupt(t *testing.T) {
 	recs := walTestRecords()
 	stream := encodeAll(t, recs)
@@ -89,24 +105,6 @@ func TestWALDecodeTornAndCorrupt(t *testing.T) {
 		}
 	}
 
-	// Torn header: cut mid-way through the last record's header.
-	check("torn header", stream[:bounds[2]+3], 3, bounds[2])
-	// Torn body: cut mid-way through the last record's body.
-	check("torn body", stream[:bounds[3]-2], 3, bounds[2])
-	// CRC flip: corrupt one payload byte of the third record.
-	flipped := append([]byte(nil), stream...)
-	flipped[bounds[1]+walHeaderSize] ^= 0x01
-	check("payload bit flip", flipped, 2, bounds[1])
-	// Zero length prefix.
-	zeroed := append([]byte(nil), stream[:bounds[1]]...)
-	zeroed = append(zeroed, make([]byte, walHeaderSize)...)
-	check("zero length", zeroed, 2, bounds[1])
-	// Oversized length prefix.
-	big := append([]byte(nil), stream[:bounds[0]]...)
-	var hdr [walHeaderSize]byte
-	binary.BigEndian.PutUint32(hdr[0:4], maxWALRecord+1)
-	big = append(big, hdr[:]...)
-	check("oversized length", big, 1, bounds[0])
 	// Unknown record type with a valid checksum: replay must stop there.
 	unk, err := encodeWALRecord(&walRecord{T: "mystery"})
 	if err != nil {
@@ -119,8 +117,12 @@ func TestWALDecodeTornAndCorrupt(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("inconsistent sub", append(append([]byte(nil), stream[:bounds[0]]...), bad...), 1, bounds[0])
-	// Pure garbage from byte zero recovers to empty state.
-	check("garbage", []byte("this is not a journal at all"), 0, 0)
+	// A well-framed payload that is not JSON at all.
+	junk, err := new(recordlog.Encoder).Encode(json.RawMessage(`"not a record"`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("not a record", append(append([]byte(nil), stream[:bounds[2]]...), junk...), 3, bounds[2])
 }
 
 // TestReplayWALAcrossGenerations pins the replay order and the checkpoint
@@ -129,7 +131,7 @@ func TestReplayWALAcrossGenerations(t *testing.T) {
 	dir := t.TempDir()
 	recs := walTestRecords()
 	// Gen 1: a checkpoint plus a sub that the gen-2 checkpoint supersedes.
-	if err := os.WriteFile(walGen(dir, 1), encodeAll(t, recs[:2]), 0o644); err != nil {
+	if err := os.WriteFile(walNames.Path(dir, 1), encodeAll(t, recs[:2]), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	// Gen 2: checkpoint carrying one decided id, then sub + dec + sub.
@@ -137,7 +139,7 @@ func TestReplayWALAcrossGenerations(t *testing.T) {
 		{T: "ckpt", Ckpt: &walCkpt{Seq: 3, Decided: []walDecided{{ID: "g-1", Dec: Decision{ID: "g-1", NPG: "Old", Status: StatusApproved}}}}},
 		recs[1], recs[2], recs[3],
 	}
-	if err := os.WriteFile(walGen(dir, 2), encodeAll(t, gen2), 0o644); err != nil {
+	if err := os.WriteFile(walNames.Path(dir, 2), encodeAll(t, gen2), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	st, err := ReplayWAL(dir)
@@ -158,6 +160,45 @@ func TestReplayWALAcrossGenerations(t *testing.T) {
 	}
 	if len(st.Pending) != 1 || st.Pending[0].IDs[0] != "g-6" {
 		t.Fatalf("Pending = %+v, want just g-6", st.Pending)
+	}
+}
+
+// TestReplayWALIgnoresStrayFiles is the regression for a copy of a generation
+// set aside in the journal directory: Sscanf-style name parsing took
+// wal-0000000000000001.log.bak (and .tmp, and wal-1.log) for generation 1, so
+// replay double-counted it — and once the next checkpoint had pruned the
+// original, failed on the missing file and kept grantd from starting on an
+// intact journal. (The naming rules themselves: recordlog.TestNamesStrict.)
+func TestReplayWALIgnoresStrayFiles(t *testing.T) {
+	dir := t.TempDir()
+	recs := walTestRecords()
+	live := encodeAll(t, recs)
+	strays := []string{"wal-0000000000000001.log.bak", "wal-0000000000000001.log.tmp", "wal-1.log"}
+	for _, name := range append([]string{filepath.Base(walNames.Path(dir, 1))}, strays...) {
+		if err := os.WriteFile(filepath.Join(dir, name), live, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st, err := ReplayWAL(dir)
+	if err != nil || st.Records != len(recs) {
+		t.Fatalf("replay beside stray copies: %d records, %v; want %d", st.Records, err, len(recs))
+	}
+	// Opening checkpoints into generation 2 and prunes generation 1.
+	j, _, err := openJournal(WALOptions{Dir: dir, Fsync: FsyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	if gens, _ := walNames.List(dir); len(gens) != 1 || gens[0] != 2 {
+		t.Fatalf("generations after the checkpoint: %v, want [2]", gens)
+	}
+	for _, name := range strays {
+		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
+			t.Errorf("pruning deleted a file that is not a generation: %v", err)
+		}
+	}
+	if st, err = ReplayWAL(dir); err != nil || st.Records != 1 {
+		t.Fatalf("restart beside stray copies of a pruned generation: %d records, %v; want the checkpoint", st.Records, err)
 	}
 }
 
@@ -185,7 +226,7 @@ func TestJournalCheckpointRotation(t *testing.T) {
 			}
 		}
 	}
-	gens, err := listWALGens(dir)
+	gens, err := walNames.List(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

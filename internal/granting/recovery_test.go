@@ -152,11 +152,11 @@ func TestCrashRecoveryProperty(t *testing.T) {
 			svc.Kill()
 
 			// Damage the journal tail the way a crash mid-write would.
-			gens, err := listWALGens(dir)
+			gens, err := walNames.List(dir)
 			if err != nil || len(gens) == 0 {
 				t.Fatalf("no journal generations: %v", err)
 			}
-			desc, err := faults.CrashTail(walGen(dir, gens[len(gens)-1]), rng, 200)
+			desc, err := faults.CrashTail(walNames.Path(dir, gens[len(gens)-1]), rng, 200)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,21 +1,19 @@
 package slo
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"log/slog"
 	"net/http"
 	"os"
-	"path/filepath"
+	"slices"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
+	"entitlement/internal/recordlog"
 	"entitlement/internal/topology"
 )
 
@@ -25,29 +23,17 @@ import (
 // cycle spans to disk while any alert stays active, and closes — emitting a
 // structured attribution envelope — once hysteresis has cleared every alert.
 //
-// Capture file format (incident-%016d.cap), one record per frame, reusing
-// the granting journal's WAL conventions:
-//
-//	4 bytes  payload length n (0 < n <= maxCapRecord), big-endian
-//	4 bytes  CRC-32C (Castagnoli) of the payload, big-endian
-//	n bytes  JSON-encoded captureRecord
+// A capture file (incident-%016d.cap) is a sequence of recordlog frames, one
+// JSON-encoded captureRecord each (framing and the valid-prefix rule a torn
+// or corrupt file is read by: package recordlog, DESIGN.md §11). Captures are
+// written once and never rotated.
 //
 // A capture opens with a "meta" record (engine configuration, objectives,
 // pre-arm alert seeds, trigger transitions, topology epoch), then carries
 // interleaved "samp" (flight-recorder batches), "span" (agent cycle spans)
 // and "eval" (per-evaluation engine output) records, and closes with a
 // "rep" (final conformance report) and an "env" (attribution envelope)
-// record. Decoding stops at the first torn or corrupt frame and keeps the
-// valid prefix — the same crash-consistency contract the granting WAL makes.
-
-// maxCapRecord bounds one record's payload; a length prefix beyond it marks
-// a corrupt (or torn) tail.
-const maxCapRecord = 16 << 20
-
-// capHeaderSize is the fixed per-record framing overhead.
-const capHeaderSize = 8
-
-var capCRC = crc32.MakeTable(crc32.Castagnoli)
+// record.
 
 // captureVersion stamps the capture format; replay refuses versions it does
 // not understand rather than silently misreading evidence.
@@ -125,64 +111,27 @@ func (r *captureRecord) shapeOK() bool {
 	return false
 }
 
-// encodeCaptureRecord frames one record; the returned buffer includes the
-// header.
-func encodeCaptureRecord(rec *captureRecord) ([]byte, error) {
-	body, err := json.Marshal(rec)
-	if err != nil {
-		return nil, fmt.Errorf("slo: capture encode: %w", err)
-	}
-	if len(body) > maxCapRecord {
-		return nil, fmt.Errorf("slo: capture record %d bytes exceeds %d", len(body), maxCapRecord)
-	}
-	buf := make([]byte, capHeaderSize+len(body))
-	binary.BigEndian.PutUint32(buf[0:4], uint32(len(body)))
-	binary.BigEndian.PutUint32(buf[4:8], crc32.Checksum(body, capCRC))
-	copy(buf[capHeaderSize:], body)
-	return buf, nil
-}
-
-// decodeCaptureStream reads records until EOF or the first invalid record.
-// It never fails on arbitrary bytes: a torn or corrupt tail ends the decode
-// with truncated=true and valid holding the byte offset of the last good
-// record boundary (the valid-prefix property FuzzBlackboxDecode pins).
+// decodeCaptureStream collects the records of r's valid prefix (recordlog.Scan;
+// a record of the wrong shape ends it). It never fails on arbitrary bytes —
+// the property FuzzBlackboxDecode pins.
 func decodeCaptureStream(r io.Reader) (recs []captureRecord, valid int64, truncated bool) {
-	var hdr [capHeaderSize]byte
-	for {
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			return recs, valid, !errors.Is(err, io.EOF)
-		}
-		n := binary.BigEndian.Uint32(hdr[0:4])
-		if n == 0 || n > maxCapRecord {
-			return recs, valid, true
-		}
-		body := make([]byte, n)
-		if _, err := io.ReadFull(r, body); err != nil {
-			return recs, valid, true
-		}
-		if crc32.Checksum(body, capCRC) != binary.BigEndian.Uint32(hdr[4:8]) {
-			return recs, valid, true
-		}
+	valid, truncated = recordlog.Scan(r, func(payload []byte) bool {
 		var rec captureRecord
-		if err := json.Unmarshal(body, &rec); err != nil {
-			return recs, valid, true
-		}
-		if !rec.shapeOK() {
-			return recs, valid, true
+		if err := json.Unmarshal(payload, &rec); err != nil || !rec.shapeOK() {
+			return false
 		}
 		recs = append(recs, rec)
-		valid += capHeaderSize + int64(n)
-	}
+		return true
+	})
+	return recs, valid, truncated
 }
 
-// capName and envName locate one generation's capture and envelope files.
-func capName(dir string, gen uint64) string {
-	return filepath.Join(dir, fmt.Sprintf("incident-%016d.cap", gen))
-}
-
-func envName(dir string, gen uint64) string {
-	return filepath.Join(dir, fmt.Sprintf("incident-%016d.json", gen))
-}
+// capNames and envNames name one incident generation's capture and envelope
+// files.
+var (
+	capNames = recordlog.Names{Prefix: "incident-", Suffix: ".cap"}
+	envNames = recordlog.Names{Prefix: "incident-", Suffix: ".json"}
+)
 
 // BlackboxOptions configure a Blackbox. Dir is required; everything else
 // has workable defaults.
@@ -255,6 +204,7 @@ type Blackbox struct {
 	failed    bool // a write error degraded this capture; lifecycle continues
 	gen       uint64
 	f         *os.File
+	enc       recordlog.Encoder
 	meta      *CaptureMeta
 	bytes     int64
 	records   int
@@ -291,44 +241,31 @@ func NewBlackbox(opts BlackboxOptions) (*Blackbox, error) {
 		genBytes: make(map[uint64]int64),
 		nextGen:  1,
 	}
-	entries, err := os.ReadDir(opts.Dir)
-	if err != nil {
-		return nil, fmt.Errorf("slo: blackbox scan: %w", err)
-	}
-	seen := make(map[uint64]bool)
-	for _, e := range entries {
-		name := e.Name()
-		var gen uint64
-		var ok bool
-		switch {
-		case strings.HasPrefix(name, "incident-") && strings.HasSuffix(name, ".cap"):
-			gen, ok = parseGen(name, ".cap")
-		case strings.HasPrefix(name, "incident-") && strings.HasSuffix(name, ".json"):
-			gen, ok = parseGen(name, ".json")
+	for _, names := range []recordlog.Names{capNames, envNames} {
+		gens, err := names.List(opts.Dir)
+		if err != nil {
+			return nil, fmt.Errorf("slo: blackbox scan: %w", err)
 		}
-		if !ok {
-			continue
-		}
-		if info, err := e.Info(); err == nil {
-			bb.genBytes[gen] += info.Size()
-			bb.totalBytes += info.Size()
-		}
-		if !seen[gen] {
-			seen[gen] = true
+		for _, gen := range gens {
+			if info, err := os.Stat(names.Path(opts.Dir, gen)); err == nil {
+				bb.genBytes[gen] += info.Size()
+				bb.totalBytes += info.Size()
+			}
 			bb.gens = append(bb.gens, gen)
 		}
-		if gen >= bb.nextGen {
-			bb.nextGen = gen + 1
-		}
 	}
-	sort.Slice(bb.gens, func(i, j int) bool { return bb.gens[i] < bb.gens[j] })
+	slices.Sort(bb.gens)
+	bb.gens = slices.Compact(bb.gens) // a closed incident has both files
+	if n := len(bb.gens); n > 0 {
+		bb.nextGen = bb.gens[n-1] + 1
+	}
 	// Reload the most recent envelopes, oldest first.
 	start := 0
 	if len(bb.gens) > opts.Envelopes {
 		start = len(bb.gens) - opts.Envelopes
 	}
 	for _, gen := range bb.gens[start:] {
-		data, err := os.ReadFile(envName(opts.Dir, gen))
+		data, err := os.ReadFile(envNames.Path(opts.Dir, gen))
 		if err != nil {
 			continue // capture closed without an envelope (crash mid-incident)
 		}
@@ -338,15 +275,6 @@ func NewBlackbox(opts BlackboxOptions) (*Blackbox, error) {
 		}
 	}
 	return bb, nil
-}
-
-func parseGen(name, suffix string) (uint64, bool) {
-	s := strings.TrimSuffix(strings.TrimPrefix(name, "incident-"), suffix)
-	var gen uint64
-	if _, err := fmt.Sscanf(s, "%d", &gen); err != nil || fmt.Sprintf("%016d", gen) != s {
-		return 0, false
-	}
-	return gen, true
 }
 
 // RecordSpan feeds one enforcement-cycle span into the box. While disarmed
@@ -477,7 +405,7 @@ func (bb *Blackbox) armLocked(e *Engine, now time.Time, pre map[string]ContractS
 	bb.spans = bb.spans[:0]
 	bb.pruneLocked()
 
-	f, err := os.OpenFile(capName(bb.opts.Dir, bb.gen), os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
+	f, err := os.OpenFile(capNames.Path(bb.opts.Dir, bb.gen), os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
 	if err != nil {
 		bb.failed = true
 		mBBErrors.Inc()
@@ -635,7 +563,7 @@ func (bb *Blackbox) writeLocked(rec *captureRecord) {
 		mBBDrops.Inc()
 		return
 	}
-	buf, err := encodeCaptureRecord(rec)
+	buf, err := bb.enc.Encode(rec)
 	if err == nil {
 		_, err = bb.f.Write(buf)
 	}
@@ -681,7 +609,7 @@ func (bb *Blackbox) closeIncidentLocked(e *Engine, now time.Time) {
 	bb.gens = append(bb.gens, bb.gen)
 
 	if data, err := json.MarshalIndent(env, "", "  "); err == nil {
-		if err := os.WriteFile(envName(bb.opts.Dir, bb.gen), data, 0o644); err != nil {
+		if err := os.WriteFile(envNames.Path(bb.opts.Dir, bb.gen), data, 0o644); err != nil {
 			mBBErrors.Inc()
 		} else {
 			bb.totalBytes += int64(len(data))
@@ -718,8 +646,8 @@ func (bb *Blackbox) pruneLocked() {
 	for len(bb.gens) > 0 && bb.totalBytes+bb.opts.MaxIncidentBytes > bb.opts.MaxBytes {
 		gen := bb.gens[0]
 		bb.gens = bb.gens[1:]
-		os.Remove(capName(bb.opts.Dir, gen))
-		os.Remove(envName(bb.opts.Dir, gen))
+		os.Remove(capNames.Path(bb.opts.Dir, gen))
+		os.Remove(envNames.Path(bb.opts.Dir, gen))
 		bb.totalBytes -= bb.genBytes[gen]
 		delete(bb.genBytes, gen)
 		if bb.opts.Logger != nil {

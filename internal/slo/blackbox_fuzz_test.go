@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"testing"
 	"time"
+
+	"entitlement/internal/recordlog"
 )
 
 // captureTestRecords builds one of each record type with representative
@@ -51,7 +53,7 @@ func FuzzBlackboxDecode(f *testing.F) {
 	recs := captureTestRecords()
 	var clean bytes.Buffer
 	for i := range recs {
-		b, err := encodeCaptureRecord(&recs[i])
+		b, err := new(recordlog.Encoder).Encode(&recs[i])
 		if err != nil {
 			f.Fatal(err)
 		}

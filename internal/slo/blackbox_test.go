@@ -1,13 +1,17 @@
 package slo
 
 import (
+	"bytes"
+	"encoding/json"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"entitlement/internal/faults"
+	"entitlement/internal/recordlog"
 	"entitlement/internal/topology"
 )
 
@@ -306,4 +310,64 @@ func TestBlackboxWriteFailure(t *testing.T) {
 	if len(envs) != 1 || !envs[0].Capture.WriteFailed {
 		t.Fatalf("envelope does not confess the write failure: %+v", envs)
 	}
+}
+
+// TestReadParentCapture reads a closed incident's capture written by the
+// commit before the capture format moved into package recordlog
+// (testdata/capture-pr15, with that commit's own index and replay of it).
+// This commit must find the same records in the same bytes, frame every one
+// of them to the bytes on disk, and replay the incident identically.
+func TestReadParentCapture(t *testing.T) {
+	fixture := filepath.Join("testdata", "capture-pr15")
+	caps, err := ListCaptures(fixture)
+	if err != nil || len(caps) != 1 {
+		t.Fatalf("ListCaptures = %v, %v", caps, err)
+	}
+	c, err := ReadCapture(caps[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(caps[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Truncated || c.ValidBytes != int64(len(data)) {
+		t.Fatalf("valid prefix %d of %d bytes, truncated=%v", c.ValidBytes, len(data), c.Truncated)
+	}
+	golden := func(name string, v interface{}) {
+		t.Helper()
+		got, _ := json.MarshalIndent(v, "", " ")
+		want, err := os.ReadFile(filepath.Join(fixture, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(append(got, '\n'), want) {
+			t.Errorf("%s differs from the parent commit's:\nwant %s\ngot  %s", name, want, got)
+		}
+	}
+	idx := c.Index()
+	idx.Path = ""
+	golden("index.json", idx)
+
+	var enc recordlog.Encoder
+	var again []byte
+	for i := range c.records {
+		b, err := enc.Encode(&c.records[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		again = append(again, b...)
+	}
+	if !bytes.Equal(again, data) {
+		t.Errorf("re-encoding the capture's %d records yields different bytes", len(c.records))
+	}
+
+	res, err := c.Replay()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Identical {
+		t.Errorf("replay diverged: %s", res.Divergence)
+	}
+	golden("replay.json", res)
 }

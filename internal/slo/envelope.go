@@ -143,7 +143,7 @@ func (bb *Blackbox) buildEnvelopeLocked(e *Engine, now time.Time, rep *Report) *
 		Generation: bb.gen,
 		ClosedAt:   now,
 		Capture: CaptureStats{
-			File:             capName(bb.opts.Dir, bb.gen),
+			File:             capNames.Path(bb.opts.Dir, bb.gen),
 			Records:          bb.records,
 			Bytes:            bb.bytes,
 			DroppedRecords:   bb.recDrops,

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"testing"
 	"time"
+
+	"entitlement/internal/recordlog"
 )
 
 // TestEnvelopeRoundtrip pins the envelope's wire stability: encode → decode →
@@ -76,7 +78,7 @@ func TestEnvelopeRoundtrip(t *testing.T) {
 	}
 	// The same roundtrip must hold through the capture record framing, which
 	// is how the envelope travels inside the .cap file.
-	buf, err := encodeCaptureRecord(&captureRecord{T: "env", Env: env})
+	buf, err := new(recordlog.Encoder).Encode(&captureRecord{T: "env", Env: env})
 	if err != nil {
 		t.Fatal(err)
 	}

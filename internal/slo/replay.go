@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sort"
 	"time"
 )
@@ -45,18 +44,12 @@ func ReadCapture(path string) (*Capture, error) {
 
 // ListCaptures returns the capture files in dir, oldest generation first.
 func ListCaptures(dir string) ([]string, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
+	gens, err := capNames.List(dir)
+	out := make([]string, len(gens))
+	for i, gen := range gens {
+		out[i] = capNames.Path(dir, gen)
 	}
-	var out []string
-	for _, e := range entries {
-		if _, ok := parseGen(e.Name(), ".cap"); ok {
-			out = append(out, filepath.Join(dir, e.Name()))
-		}
-	}
-	sort.Strings(out)
-	return out, nil
+	return out, err
 }
 
 // CaptureIndex summarizes a capture's contents — the `sloctl inspect` view.
