@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build vet vet-metrics vet-imports vet-schema vet-schema-update test race chaos crash slo replay trace wirecompat fuzz-smoke bench bench-build bench-smoke bench-delta bench-json bench-regress bench-rebaseline cover figures examples grantd-demo
+.PHONY: all build vet vet-metrics vet-imports vet-schema vet-schema-update test race chaos crash slo replay trace wirecompat fuzz-smoke bench bench-build bench-smoke bench-delta bench-regress bench-rebaseline cover figures examples grantd-demo
 
 all: build vet vet-metrics vet-imports vet-schema bench-build test
 
@@ -187,32 +187,36 @@ fuzz-smoke:
 	$(call go_test_fuzz,FuzzParseTraceContext,./internal/obs/trace/)
 	$(call go_test_fuzz,FuzzParseText,./internal/obs/)
 
-# Regenerate the perf-trajectory files: BENCH_risk.json (cold vs warm vs
-# delta Assess p50, allocator ns/op + allocs/op), BENCH_slo.json
-# (flight-recorder append, engine evaluate p50, black-box span append,
-# incident replay wall-clock), BENCH_trace.json (span start/finish ns/op
-# against the 200ns budget, traceparent codec, tree assembly), and
-# BENCH_wire.json (binary vs JSON codec, payload and socket level).
-bench-json:
-	go run ./cmd/benchjson -out BENCH_risk.json -slo-out BENCH_slo.json -trace-out BENCH_trace.json -wire-out BENCH_wire.json
+# The micro-benchmarks whose numbers are committed in BENCH.txt and gated by
+# bench-regress, named once: full Benchmark function names (sub-benchmarks ride
+# along) and the packages that define them. Each is the only definition of its
+# number; TestCommittedBaselineParses (cmd/benchgate) fails tier-1 when one of
+# these names is missing from the packages' test files or from BENCH.txt.
+BENCH_GATE := BenchmarkAllocateRunner|BenchmarkAssessCold|BenchmarkAssessWarm|BenchmarkAssessDelta|BenchmarkSLORecord|BenchmarkSLOEvaluate|BenchmarkBlackboxAppend|BenchmarkBlackboxAppendDisarmed|BenchmarkIncidentReplay|BenchmarkSpanStart|BenchmarkSpanFinish|BenchmarkSpanStartFinish|BenchmarkSpanChildStartFinish|BenchmarkContextEncode|BenchmarkContextParse|BenchmarkTraceAssembly|BenchmarkKVPutCodec|BenchmarkClientPutBinary|BenchmarkClientPutJSON
+BENCH_GATE_PKGS := . ./internal/risk/ ./internal/slo/ ./internal/obs/trace/ ./schema/v1/ ./internal/kvstore/
 
-# Perf-regression gate: re-measure every BENCH_*.json into a scratch dir
-# and fail if any timing field regressed past 2x the committed baseline
-# (sub-1µs baselines are skipped as noise). Deliberate slowdowns
-# re-baseline with bench-rebaseline, so the new perf envelope is part of
-# the same diff.
-bench-regress:
+# Five samples of each into .bench-fresh/BENCH.txt (go test runs benchmark
+# packages one at a time). require_tests first: a renamed benchmark fails the
+# leg here instead of shrinking the run.
+define bench_measure
+	$(call require_tests,$(BENCH_GATE),$(BENCH_GATE_PKGS))
 	mkdir -p .bench-fresh
-	go run ./cmd/benchjson -out .bench-fresh/BENCH_risk.json -slo-out .bench-fresh/BENCH_slo.json -trace-out .bench-fresh/BENCH_trace.json -wire-out .bench-fresh/BENCH_wire.json
-	go run ./cmd/benchgate -ratio 2 -min-baseline-ns 1000 \
-		BENCH_risk.json:.bench-fresh/BENCH_risk.json \
-		BENCH_slo.json:.bench-fresh/BENCH_slo.json \
-		BENCH_trace.json:.bench-fresh/BENCH_trace.json \
-		BENCH_wire.json:.bench-fresh/BENCH_wire.json
+	go test -run=NONE -bench '$(BENCH_GATE)' -benchmem -count=5 $(BENCH_GATE_PKGS) > .bench-fresh/BENCH.txt || { cat .bench-fresh/BENCH.txt; exit 1; }
+endef
 
-# Escape hatch for deliberate perf changes: rewrite the committed baselines
-# from a fresh run and commit the diff.
-bench-rebaseline: bench-json
+# Perf-regression gate: re-measure and fail if any benchmark's median ns/op
+# is past 2x its median in the committed BENCH.txt (sub-1µs baselines are
+# recorded but not gated: noise), or a committed benchmark no longer runs.
+bench-regress:
+	$(bench_measure)
+	go run ./cmd/benchgate -ratio 2 -min-baseline-ns 1000 BENCH.txt .bench-fresh/BENCH.txt
+
+# The one command that writes BENCH.txt, for deliberate perf changes and for
+# benchmarks added to BENCH_GATE. Commit the result with the change: the
+# BENCH.txt diff (benchstat reads both sides) is the review artefact.
+bench-rebaseline:
+	$(bench_measure)
+	cp .bench-fresh/BENCH.txt BENCH.txt
 
 cover:
 	go test -cover ./internal/... ./schema/...

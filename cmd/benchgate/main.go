@@ -1,143 +1,158 @@
-// benchgate is the perf-regression gate (`make bench-regress`): it compares
-// freshly measured BENCH_*.json files against the committed baselines and
-// fails when any timing field regressed by more than the allowed ratio.
+// benchgate is the perf-regression gate (`make bench-regress`): it compares a
+// fresh `go test -bench` run against the committed one, BENCH.txt, and fails
+// when any benchmark regressed by more than the allowed ratio.
 //
-//	benchgate [-ratio 2] [-min-baseline-ns 1000] baseline.json:fresh.json ...
+//	benchgate [-ratio 2] [-min-baseline-ns 1000] baseline fresh
+//
+// Both files are verbatim `go test -run=NONE -bench ... -benchmem -count=5`
+// output, the format benchstat reads. A benchmark is keyed by its package
+// (the `pkg:` header) and name, sub-benchmarks included, with the -N
+// GOMAXPROCS suffix stripped so a baseline taken on 2 cores still lines up on
+// a 4-core runner (the mismatch is printed, since it can explain a ratio).
 //
 // Comparison rules:
 //
-//   - Only timing leaves are gated: numeric JSON fields whose name contains
-//     "ns" (ns_per_op, p50_ns, wall_ns, ...). Counters, ratios, and alloc
-//     fields describe the workload and are reported but never gated.
+//   - Only ns/op is gated, as the median of a key's repeated lines: one
+//     descheduled sample in five moves a mean or a single shot past 2x, not a
+//     median. B/op, allocs/op and b.ReportMetric columns describe the
+//     workload and are never gated.
 //   - A baseline below -min-baseline-ns is skipped: sub-microsecond numbers
 //     flap with scheduler noise, and a 2x regression on 40ns is 40ns.
 //   - The gate is one-sided. Fresh numbers may be faster without limit.
+//   - A key in the baseline and missing from the fresh run fails: a benchmark
+//     was renamed or dropped without re-baselining. A key only in the fresh
+//     run is listed and passes.
 //
 // Escape hatch: a deliberate slowdown (richer model, more work per op)
-// re-baselines with `make bench-rebaseline`, which rewrites the committed
-// BENCH_*.json files from a fresh run — the diff then documents the new
-// perf envelope in review. There is no bypass flag; the gate either passes
-// against the committed numbers or the numbers change in the same commit.
+// re-baselines with `make bench-rebaseline`, which rewrites BENCH.txt from a
+// fresh run — the diff then documents the new perf envelope in review. There
+// is no bypass flag; the gate either passes against the committed numbers or
+// the numbers change in the same commit.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"sort"
+	"strconv"
 	"strings"
+
+	"entitlement/internal/stats"
 )
 
 func main() {
-	ratio := flag.Float64("ratio", 2.0, "maximum allowed fresh/baseline ratio per timing field")
-	minBaseline := flag.Int64("min-baseline-ns", 1000, "skip fields whose baseline is below this many ns (noise floor)")
+	ratio := flag.Float64("ratio", 2.0, "maximum allowed fresh/baseline ratio of median ns/op")
+	minBaseline := flag.Float64("min-baseline-ns", 1000, "skip benchmarks whose baseline median is below this many ns/op (noise floor)")
 	flag.Parse()
-	if flag.NArg() == 0 {
-		fmt.Fprintln(os.Stderr, "usage: benchgate [-ratio R] [-min-baseline-ns N] baseline.json:fresh.json ...")
+	if flag.NArg() != 2 {
+		fmt.Fprintln(os.Stderr, "usage: benchgate [-ratio R] [-min-baseline-ns N] baseline fresh")
 		os.Exit(2)
 	}
-	failed := false
-	for _, pair := range flag.Args() {
-		base, fresh, ok := strings.Cut(pair, ":")
-		if !ok {
-			fmt.Fprintf(os.Stderr, "benchgate: argument %q is not baseline.json:fresh.json\n", pair)
-			os.Exit(2)
+	var runs [2]*run
+	for i, path := range flag.Args() {
+		text, err := os.ReadFile(path)
+		if err == nil {
+			runs[i], err = parse(string(text))
 		}
-		regressions, checked, err := comparePair(base, fresh, *ratio, *minBaseline)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchgate: %v\n", err)
+			fmt.Fprintf(os.Stderr, "benchgate: %s: %v\n", path, err)
 			os.Exit(1)
 		}
-		if len(regressions) > 0 {
-			failed = true
-			for _, r := range regressions {
-				fmt.Fprintf(os.Stderr, "benchgate: REGRESSION %s: %s\n", base, r)
-			}
-		} else {
-			fmt.Printf("benchgate: %s ok (%d timing fields within %.1fx)\n", base, checked, *ratio)
-		}
 	}
-	if failed {
-		fmt.Fprintln(os.Stderr, "benchgate: deliberate slowdowns re-baseline with `make bench-rebaseline` and commit the new BENCH_*.json")
+	base, fresh := runs[0], runs[1]
+	if base.procs != fresh.procs {
+		fmt.Printf("benchgate: note: baseline ran at GOMAXPROCS=%s, fresh at GOMAXPROCS=%s\n", base.procs, fresh.procs)
+	}
+	regressions, report := compare(base.nsPerOp, fresh.nsPerOp, *ratio, *minBaseline)
+	for _, line := range report {
+		fmt.Println(line)
+	}
+	if len(regressions) > 0 {
+		for _, r := range regressions {
+			fmt.Fprintf(os.Stderr, "benchgate: REGRESSION %s\n", r)
+		}
+		fmt.Fprintln(os.Stderr, "benchgate: deliberate slowdowns re-baseline with `make bench-rebaseline` and commit the new BENCH.txt")
 		os.Exit(1)
 	}
+	fmt.Printf("benchgate: ok (%d benchmarks, median ns/op within %.1fx of %s)\n", len(base.nsPerOp), *ratio, flag.Arg(0))
 }
 
-func comparePair(basePath, freshPath string, ratio float64, minBaseline int64) (regressions []string, checked int, err error) {
-	base, err := loadTimings(basePath)
-	if err != nil {
-		return nil, 0, err
-	}
-	fresh, err := loadTimings(freshPath)
-	if err != nil {
-		return nil, 0, err
-	}
-	keys := make([]string, 0, len(base))
-	for k := range base {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		b := base[k]
-		f, ok := fresh[k]
-		if !ok {
-			// A field present in the baseline but missing from the fresh run
-			// means the bench shape changed without re-baselining.
-			regressions = append(regressions, fmt.Sprintf("%s missing from fresh run %s", k, freshPath))
-			continue
-		}
-		if b < float64(minBaseline) {
-			continue
-		}
-		checked++
-		if f > b*ratio {
-			regressions = append(regressions, fmt.Sprintf("%s: baseline %.0fns -> fresh %.0fns (%.2fx > %.1fx)", k, b, f, f/b, ratio))
-		}
-	}
-	return regressions, checked, nil
+// run is one parsed `go test -bench` output.
+type run struct {
+	nsPerOp map[string][]float64 // "pkg.BenchmarkName[/sub]" -> one sample per repeated line
+	procs   string               // the -N suffix of the benchmark lines ("1" when absent)
 }
 
-// loadTimings flattens a BENCH_*.json file to dotted-path -> value for every
-// numeric leaf whose field name mentions ns.
-func loadTimings(path string) (map[string]float64, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
+// parse reads benchmark result lines, `BenchmarkX[-N] <iterations> <value>
+// <unit> ...` under the latest `pkg:` header, and keeps the ns/op pair of
+// each. Anything else is skipped, except a FAIL line, which is an error: a
+// run that failed must not read as a run with fewer benchmarks.
+func parse(text string) (*run, error) {
+	out := &run{nsPerOp: map[string][]float64{}, procs: "1"}
+	pkg := ""
+	for _, line := range strings.Split(text, "\n") {
+		f := strings.Fields(line)
+		switch {
+		case len(f) == 0:
+		case f[0] == "FAIL" || f[0] == "---" && len(f) > 1 && f[1] == "FAIL:":
+			return nil, fmt.Errorf("the run failed: %q", line)
+		case f[0] == "pkg:" && len(f) == 2:
+			pkg = f[1]
+		case strings.HasPrefix(f[0], "Benchmark") && len(f) >= 4:
+			if _, err := strconv.Atoi(f[1]); err != nil {
+				continue
+			}
+			name := f[0]
+			if i := strings.LastIndexByte(name, '-'); i >= 0 {
+				if _, err := strconv.Atoi(name[i+1:]); err == nil {
+					name, out.procs = name[:i], name[i+1:]
+				}
+			}
+			for i := 2; i+1 < len(f); i += 2 {
+				if v, err := strconv.ParseFloat(f[i], 64); err == nil && f[i+1] == "ns/op" {
+					key := pkg + "." + name
+					out.nsPerOp[key] = append(out.nsPerOp[key], v)
+				}
+			}
+		}
 	}
-	var doc interface{}
-	if err := json.Unmarshal(data, &doc); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
+	if len(out.nsPerOp) == 0 {
+		return nil, fmt.Errorf("no benchmark lines")
 	}
-	out := map[string]float64{}
-	flatten("", doc, out)
 	return out, nil
 }
 
-func flatten(prefix string, v interface{}, out map[string]float64) {
-	switch t := v.(type) {
-	case map[string]interface{}:
-		for k, child := range t {
-			p := k
-			if prefix != "" {
-				p = prefix + "." + k
-			}
-			flatten(p, child, out)
-		}
-	case float64:
-		if isTimingField(prefix) {
-			out[prefix] = t
-		}
-	}
-}
+// median is the statistic compared: of a key's repeated samples, an even
+// count taking the mean of the middle two.
+func median(samples []float64) float64 { return stats.Quantile(samples, 0.5) }
 
-// isTimingField matches the repo's timing naming convention: *_ns,
-// *_ns_per_op, *_p50_ns, *_wall_ns. "allocs", "bytes", counts, and ratios
-// stay out of the gate.
-func isTimingField(path string) bool {
-	leaf := path
-	if i := strings.LastIndex(path, "."); i >= 0 {
-		leaf = path[i+1:]
+// compare applies the rules in the package comment. report has one line per
+// key, for the CI log.
+func compare(base, fresh map[string][]float64, ratio, minBaseline float64) (regressions, report []string) {
+	for k, samples := range base {
+		b := median(samples)
+		if len(fresh[k]) == 0 {
+			regressions = append(regressions, k+": in the baseline, missing from the fresh run")
+			continue
+		}
+		f := median(fresh[k])
+		verdict := "ok"
+		switch {
+		case b < minBaseline:
+			verdict = "not gated, under the noise floor"
+		case f > b*ratio:
+			verdict = "REGRESSION"
+			regressions = append(regressions, fmt.Sprintf("%s: baseline %.0f ns/op -> fresh %.0f ns/op (%.2fx > %.1fx)", k, b, f, f/b, ratio))
+		}
+		report = append(report, fmt.Sprintf("%-72s %12.1f -> %12.1f ns/op  %5.2fx  %s", k, b, f, f/b, verdict))
 	}
-	return strings.HasSuffix(leaf, "_ns") || strings.Contains(leaf, "_ns_per_op") || leaf == "ns_per_op"
+	for k, samples := range fresh {
+		if len(base[k]) == 0 {
+			report = append(report, fmt.Sprintf("%-72s new: not in the baseline, not gated (%.1f ns/op)", k, median(samples)))
+		}
+	}
+	sort.Strings(regressions)
+	sort.Strings(report)
+	return regressions, report
 }

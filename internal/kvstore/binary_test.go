@@ -149,6 +149,6 @@ func benchClientPut(b *testing.B, codec wire.Codec) {
 }
 
 // Socket-level publish benchmarks through the full kvstore client/server
-// stack (exported to BENCH_wire.json by cmd/benchjson -wire-out).
+// stack; their numbers are committed in BENCH.txt.
 func BenchmarkClientPutBinary(b *testing.B) { benchClientPut(b, wire.CodecBinary) }
 func BenchmarkClientPutJSON(b *testing.B)   { benchClientPut(b, wire.CodecJSON) }

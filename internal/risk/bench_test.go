@@ -34,7 +34,7 @@ func benchAssessSetup(b *testing.B) (*topology.Topology, []flow.Demand, Options)
 // the scenario count is the dedupe factor, which grows with the sample: more
 // draws mostly repeat states already seen.
 func BenchmarkAssessCold(b *testing.B) {
-	for _, scenarios := range []int{100, 2000} {
+	for _, scenarios := range []int{100, 400, 2000} {
 		b.Run(fmt.Sprintf("scenarios=%d", scenarios), func(b *testing.B) {
 			topo, demands, opts := benchAssessSetup(b)
 			opts.Scenarios = scenarios
@@ -77,7 +77,8 @@ func BenchmarkAssessWarm(b *testing.B) {
 // BenchmarkAssessDelta re-assesses after a failure-probability change on
 // ~10% of links: only the scenarios whose sampled bits flipped are routed,
 // the rest splice from cache. This is the CI bench-delta leg's benchmark;
-// TestDeltaSpeedup asserts the bars.
+// TestDeltaSpeedup asserts the bars. resimulated/op of the 401 scenario slots
+// and routed/op (allocator runs among them) are the work behind the speedup.
 func BenchmarkAssessDelta(b *testing.B) {
 	topo, demands, opts := benchAssessSetup(b)
 	opts.Cache = NewResultCache(2)
@@ -85,6 +86,7 @@ func BenchmarkAssessDelta(b *testing.B) {
 		b.Fatal(err)
 	}
 	nTouch := topo.NumLinks() / 10
+	resimulated, routed := 0, 0
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -103,5 +105,9 @@ func BenchmarkAssessDelta(b *testing.B) {
 		if res.Spliced == 0 {
 			b.Fatal("delta pass spliced nothing")
 		}
+		resimulated += res.Resimulated
+		routed += res.Routed
 	}
+	b.ReportMetric(float64(resimulated)/float64(b.N), "resimulated/op")
+	b.ReportMetric(float64(routed)/float64(b.N), "routed/op")
 }

@@ -6,12 +6,11 @@ import (
 	"time"
 )
 
-// Guard: the flight-recorder record path sits inside every enforcement
-// cycle, so it must stay <100ns/op (same guard style as BenchmarkObs*).
-// Measured on the CI container: ~54ns/op, 1 alloc (the published sample
-// copy). If a change pushes this past 100ns, it is a regression — the
-// enforcement loop budget assumes recording is free.
-
+// BenchmarkSLORecord measures the flight-recorder record path, which sits
+// inside every enforcement cycle. Design budget: <100ns/op, 1 alloc (the
+// published sample copy) — the enforcement loop assumes recording is free.
+// The number is recorded in BENCH.txt; it is below the bench-regress gate's
+// 1µs noise floor, so nothing asserts it.
 func BenchmarkSLORecord(b *testing.B) {
 	rec := NewRecorder(1024)
 	s := rec.Series(Key{Contract: "Coldstorage", Segment: "TEST/cold-000", Class: "c4_low"})
@@ -37,11 +36,12 @@ func BenchmarkSLORecordViaRecorder(b *testing.B) {
 	}
 }
 
-// BenchmarkBlackboxAppend guards the armed-path span append the black box
+// BenchmarkBlackboxAppend measures the armed-path span append the black box
 // takes on every enforcement cycle while an incident is in flight: one mutex
-// round-trip plus one struct copy into the buffered batch. Budget is
-// <200ns/op — the enforcement loop treats incident capture as free.
-// Measured on the CI container: ~30ns/op, 0 allocs amortized.
+// round-trip plus one struct copy into the buffered batch. Design budget:
+// <200ns/op, 0 allocs amortized — the enforcement loop treats incident
+// capture as free. Recorded in BENCH.txt, below the gate's noise floor, not
+// gated.
 func BenchmarkBlackboxAppend(b *testing.B) {
 	bb, err := NewBlackbox(BlackboxOptions{Dir: b.TempDir()})
 	if err != nil {
@@ -107,4 +107,33 @@ func BenchmarkSLOEvaluate(b *testing.B) {
 		}
 		e.Evaluate(at)
 	}
+}
+
+// BenchmarkIncidentReplay measures reading one closed incident capture back
+// from disk and re-driving it through the engine — what `sloctl replay` pays.
+// A replay that is not byte-identical fails the benchmark.
+func BenchmarkIncidentReplay(b *testing.B) {
+	dir := b.TempDir()
+	newIncidentRig(b, dir, BlackboxOptions{}).runIncident(b, 10, 5, 300)
+	caps, err := ListCaptures(dir)
+	if err != nil || len(caps) != 1 {
+		b.Fatalf("ListCaptures = %v, %v", caps, err)
+	}
+	var res *ReplayResult
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c, err := ReadCapture(caps[0])
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res, err = c.Replay(); err != nil {
+			b.Fatal(err)
+		}
+		if !res.Identical {
+			b.Fatalf("replay diverged: %s", res.Divergence)
+		}
+	}
+	b.ReportMetric(float64(res.Samples), "samples/op")
+	b.ReportMetric(float64(res.Evals), "evals/op")
 }

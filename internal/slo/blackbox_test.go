@@ -28,7 +28,7 @@ type incidentRig struct {
 	now  time.Time
 }
 
-func newIncidentRig(t *testing.T, dir string, opts BlackboxOptions) *incidentRig {
+func newIncidentRig(t testing.TB, dir string, opts BlackboxOptions) *incidentRig {
 	t.Helper()
 	topo := topology.New()
 	link, err := topo.AddLink("A", "B", 1e12, 0, topo.EnsureSRLG(3, 0.01))
@@ -81,7 +81,7 @@ func (r *incidentRig) tick(bad bool) time.Time {
 // runIncident plays goodBefore good ticks, badTicks throttled ticks (with the
 // topology link blackholed for their duration), then good ticks until the box
 // disarms (or maxTicks elapse).
-func (r *incidentRig) runIncident(t *testing.T, goodBefore, badTicks, maxTicks int) {
+func (r *incidentRig) runIncident(t testing.TB, goodBefore, badTicks, maxTicks int) {
 	t.Helper()
 	for i := 0; i < goodBefore; i++ {
 		r.tick(false)

@@ -16,8 +16,8 @@ import (
 // decode, server response encode, client response decode — with no socket
 // in the loop. Loopback TCP adds tens of microseconds of syscall time to
 // both codecs equally and would mask the codec ratio the ISSUE pins; the
-// socket-level numbers live in BenchmarkPublishSocket* below and in
-// BENCH_wire.json.
+// socket-level numbers are BenchmarkPublishSocket* below and, through the
+// full kvstore stack, BenchmarkClientPut* in BENCH.txt.
 
 var benchPut = schemav1.KVPut{Key: "rates/cluster-a/web/host-017", Value: 1234.5625, TTLMs: 60000}
 
@@ -128,8 +128,7 @@ func TestPublishCodecSpeedupAndAllocs(t *testing.T) {
 }
 
 // Socket-level publish round trips: the honest end-to-end numbers
-// (syscall-dominated, so the codec gap narrows). Exported to
-// BENCH_wire.json by cmd/benchjson -wire-out.
+// (syscall-dominated, so the codec gap narrows).
 
 func benchSocketPublish(b *testing.B, codec Codec, disableBinary bool) {
 	l, err := net.Listen("tcp", "127.0.0.1:0")

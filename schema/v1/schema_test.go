@@ -3,6 +3,7 @@ package schemav1
 import (
 	"bytes"
 	"encoding/hex"
+	"encoding/json"
 	"reflect"
 	"strings"
 	"testing"
@@ -193,6 +194,37 @@ func TestAppendBinaryNoAlloc(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("DecodeBinary allocs/op = %g, want 0", allocs)
 	}
+}
+
+// BenchmarkKVPutCodec is one publish payload encoded and decoded, no envelope
+// and no socket: the codec cost the agents' per-cycle Put pays, binary
+// against the JSON it replaced.
+func BenchmarkKVPutCodec(b *testing.B) {
+	put := KVPut{Key: "rates/cluster-a/web/host-017", Value: 1234.5625, TTLMs: 60000}
+	b.Run("binary", func(b *testing.B) {
+		var buf []byte
+		var dec KVPut
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			buf = put.AppendBinary(buf[:0])
+			if err := dec.DecodeBinary(buf); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("json", func(b *testing.B) {
+		var dec KVPut
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			buf, err := json.Marshal(&put)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := json.Unmarshal(buf, &dec); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // --- fingerprints and the lock ---------------------------------------------
