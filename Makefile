@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build vet vet-metrics vet-imports vet-schema vet-schema-update test race chaos crash slo replay trace wirecompat fuzz-smoke bench bench-build bench-smoke bench-delta bench-regress bench-rebaseline cover figures examples grantd-demo
+.PHONY: all build vet vet-metrics vet-imports vet-schema vet-schema-update test race chaos crash slo replay trace wirecompat fuzz-smoke bench bench-build bench-smoke bench-regress bench-rebaseline cover figures examples grantd-demo
 
 all: build vet vet-metrics vet-imports vet-schema bench-build test
 
@@ -135,19 +135,6 @@ bench:
 bench-smoke:
 	go test -count=1 -run=NONE -bench=. -benchtime=1x ./...
 
-# Incremental re-assessment gate: one pass of the cold/warm/delta Assess
-# benchmarks, then TestDeltaSpeedup — which FAILS if a delta re-assessment
-# after a <=10%-of-links mutation re-simulates more than 10% of the scenario
-# slots, routes more failure states than a cold pass, is not byte-identical
-# to a from-scratch recompute, or is not >= 3x faster than cold on p50 wall
-# clock (cold routes each distinct failure state once, so it is no longer
-# the 20x strawman it was). The bars are asserted by the test, never
-# eyeballed from bench output.
-bench-delta:
-	$(call require_tests,BenchmarkAssessCold|BenchmarkAssessWarm|BenchmarkAssessDelta,./internal/risk/)
-	go test -count=1 -run=NONE -bench='BenchmarkAssess(Cold|Warm|Delta)' -benchtime=1x ./internal/risk/
-	$(call go_test_run,-count=1 -v,TestDeltaSpeedup,./internal/risk/)
-
 # Distributed tracing spine: the trace package's unit/property/fuzz-seed
 # suite, the wire propagation and SetSpan race tests, and the golden
 # cross-process drill — one grant submitted over real TCP must come back as
@@ -192,7 +179,7 @@ fuzz-smoke:
 # along) and the packages that define them. Each is the only definition of its
 # number; TestCommittedBaselineParses (cmd/benchgate) fails tier-1 when one of
 # these names is missing from the packages' test files or from BENCH.txt.
-BENCH_GATE := BenchmarkAllocateRunner|BenchmarkAssessCold|BenchmarkAssessWarm|BenchmarkAssessDelta|BenchmarkSLORecord|BenchmarkSLOEvaluate|BenchmarkBlackboxAppend|BenchmarkBlackboxAppendDisarmed|BenchmarkIncidentReplay|BenchmarkSpanStart|BenchmarkSpanFinish|BenchmarkSpanStartFinish|BenchmarkSpanChildStartFinish|BenchmarkContextEncode|BenchmarkContextParse|BenchmarkTraceAssembly|BenchmarkKVPutCodec|BenchmarkClientPutBinary|BenchmarkClientPutJSON
+BENCH_GATE := BenchmarkAllocateRunner|BenchmarkAssessCold|BenchmarkAssessWarm|BenchmarkSLORecord|BenchmarkSLOEvaluate|BenchmarkBlackboxAppend|BenchmarkBlackboxAppendDisarmed|BenchmarkIncidentReplay|BenchmarkSpanStart|BenchmarkSpanFinish|BenchmarkSpanStartFinish|BenchmarkSpanChildStartFinish|BenchmarkContextEncode|BenchmarkContextParse|BenchmarkTraceAssembly|BenchmarkKVPutCodec|BenchmarkClientPutBinary|BenchmarkClientPutJSON
 BENCH_GATE_PKGS := . ./internal/risk/ ./internal/slo/ ./internal/obs/trace/ ./schema/v1/ ./internal/kvstore/
 
 # Five samples of each into .bench-fresh/BENCH.txt (go test runs benchmark

@@ -10,6 +10,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"entitlement/internal/flow"
@@ -18,24 +19,28 @@ import (
 )
 
 func main() {
-	regions := flag.Int("regions", 8, "backbone regions")
-	demandScale := flag.Float64("demand-scale", 0.35, "per-pair demand as a fraction of mean link capacity")
-	upgrades := flag.Int("upgrades", 4, "maximum augmentations to plan")
-	scenarios := flag.Int("scenarios", 200, "failure scenarios")
-	workers := flag.Int("workers", 0, "scenario-evaluation worker goroutines (0 = all cores, 1 = serial)")
-	seed := flag.Int64("seed", 1, "random seed")
-	flag.Parse()
-
-	if err := run(*regions, *demandScale, *upgrades, *scenarios, *workers, *seed); err != nil {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintf(os.Stderr, "planner: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run(regions int, demandScale float64, upgrades, scenarios, workers int, seed int64) error {
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("planner", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	regions := fs.Int("regions", 8, "backbone regions")
+	demandScale := fs.Float64("demand-scale", 0.35, "per-pair demand as a fraction of mean link capacity")
+	upgrades := fs.Int("upgrades", 4, "maximum augmentations to plan")
+	scenarios := fs.Int("scenarios", 200, "failure scenarios")
+	workers := fs.Int("workers", 0, "scenario-evaluation worker goroutines (0 = all cores, 1 = serial)")
+	seed := fs.Int64("seed", 1, "random seed")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+
 	topoOpts := topology.DefaultBackboneOptions()
-	topoOpts.Regions = regions
-	topoOpts.Seed = seed
+	topoOpts.Regions = *regions
+	topoOpts.Seed = *seed
 	topo, err := topology.Backbone(topoOpts)
 	if err != nil {
 		return err
@@ -44,48 +49,48 @@ func run(regions int, demandScale float64, upgrades, scenarios, workers int, see
 	names := topo.RegionsSorted()
 	var demands []flow.Demand
 	for i, src := range names {
-		dst := names[(i+regions/2)%len(names)] // long-haul pairs stress the core
+		dst := names[(i+*regions/2)%len(names)] // long-haul pairs stress the core
 		demands = append(demands, flow.Demand{
 			Key: fmt.Sprintf("%s>%s", src, dst), Src: src, Dst: dst,
-			Rate: meanCap * demandScale, Class: i % 4,
+			Rate: meanCap * *demandScale, Class: i % 4,
 		})
 	}
-	opts := planner.Options{Scenarios: scenarios, Seed: seed + 1, Workers: workers}
+	opts := planner.Options{Scenarios: *scenarios, Seed: *seed + 1, Workers: *workers}
 
 	before, err := planner.Analyze(topo, demands, opts)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("backbone: %d regions, %d links, mean link %.0fG\n",
+	fmt.Fprintf(stdout, "backbone: %d regions, %d links, mean link %.0fG\n",
 		topo.NumRegions(), topo.NumLinks(), meanCap/1e9)
-	fmt.Printf("demand: %d long-haul pipes, %.0fG total\n", len(demands), before.TotalDemand/1e9)
-	fmt.Printf("before: %.1f%% admitted on average (shortfall %.0fG)\n",
+	fmt.Fprintf(stdout, "demand: %d long-haul pipes, %.0fG total\n", len(demands), before.TotalDemand/1e9)
+	fmt.Fprintf(stdout, "before: %.1f%% admitted on average (shortfall %.0fG)\n",
 		100*before.AdmittedFraction(), before.AvgShortfall/1e9)
 	if len(before.Findings) > 0 {
-		fmt.Println("binding links:")
+		fmt.Fprintln(stdout, "binding links:")
 		for i, f := range before.Findings {
 			if i >= 5 {
 				break
 			}
-			fmt.Printf("  %s->%s (%.0fG): binds in %.0f%% of scenarios, avg shortfall %.0fG\n",
+			fmt.Fprintf(stdout, "  %s->%s (%.0fG): binds in %.0f%% of scenarios, avg shortfall %.0fG\n",
 				f.Src, f.Dst, f.Capacity/1e9, 100*f.BindFraction, f.AvgShortfall/1e9)
 		}
 	}
 
-	plan, after, _, err := planner.RecommendUpgrades(topo, demands, opts, upgrades)
+	plan, after, _, err := planner.RecommendUpgrades(topo, demands, opts, *upgrades)
 	if err != nil {
 		return err
 	}
 	if len(plan) == 0 {
-		fmt.Println("no upgrades needed")
+		fmt.Fprintln(stdout, "no upgrades needed")
 		return nil
 	}
-	fmt.Println("\nrecommended plan:")
+	fmt.Fprintln(stdout, "\nrecommended plan:")
 	for i, u := range plan {
-		fmt.Printf("  %d. upgrade %s->%s from %.0fG to %.0fG\n",
+		fmt.Fprintf(stdout, "  %d. upgrade %s->%s from %.0fG to %.0fG\n",
 			i+1, u.Src, u.Dst, u.OldCapacity/1e9, u.NewCapacity/1e9)
 	}
-	fmt.Printf("after: %.1f%% admitted on average (shortfall %.0fG)\n",
+	fmt.Fprintf(stdout, "after: %.1f%% admitted on average (shortfall %.0fG)\n",
 		100*after.AdmittedFraction(), after.AvgShortfall/1e9)
 	return nil
 }

@@ -4,7 +4,7 @@
 // a small neighborhood of alternative asks — QoS class shifts at the full
 // rate, then rate shrinks bisected between the admittable volume and the
 // request — and prices every candidate with a real re-approval through the
-// warm risk path (shared scenario states, pooled runners), never a cold
+// warm risk path (shared scenario sets, pooled runners), never a cold
 // pass. The best fully-approvable alternative becomes the counter-offer.
 //
 // A candidate is acceptable only if the modified batch fully approves the
@@ -70,26 +70,14 @@ func NegotiateSearch(topo *topology.Topology, hoses []hose.Request, res *Result,
 	}
 	neg = neg.withDefaults()
 
-	// Candidate evaluations share one scenario-state set per risk seed and
-	// the caller's runner pool, but never the caller's result cache: a
-	// candidate's demand set is unique to the search, and filling a shared
-	// LRU with throwaway entries would evict the batch's real assessments.
+	// Candidate evaluations share one scenario set per risk seed through a
+	// result cache scoped to this search, and the caller's runner pool, but
+	// never the caller's result cache: a candidate's demand set is unique to
+	// the search, and filling a shared LRU with throwaway entries would evict
+	// the batch's real assessments.
 	searchOpts := opts
 	searchOpts.Negotiation = NegotiateOptions{}
-	searchOpts.Risk.Cache = nil
-	searchOpts.Risk.States = nil
-	stateCache := make(map[int64][]*topology.FailureState)
-	searchOpts.Risk.StatesFor = func(t *topology.Topology, ro risk.Options) []*topology.FailureState {
-		if t != topo {
-			return nil
-		}
-		if s, ok := stateCache[ro.Seed]; ok && len(s) == ro.Scenarios {
-			return s
-		}
-		s := risk.SampleStates(t, ro)
-		stateCache[ro.Seed] = s
-		return s
-	}
+	searchOpts.Risk.Cache = risk.NewResultCache(0)
 
 	// Hose keys already in the batch: a class shift that collides with
 	// another hose's flow set cannot be assessed (duplicate demand keys).

@@ -6,6 +6,7 @@ import (
 
 	"entitlement/internal/contract"
 	"entitlement/internal/hose"
+	"entitlement/internal/risk"
 )
 
 func searchOptsForTest() Options {
@@ -56,6 +57,7 @@ func TestNegotiateSearchClassShift(t *testing.T) {
 		egressHose("Y", "A", 200, contract.C2Low),
 	}
 	opts := searchOptsForTest()
+	opts.Risk.Cache = risk.NewResultCache(0)
 	res, err := Approve(topo, hoses, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -65,9 +67,13 @@ func TestNegotiateSearchClassShift(t *testing.T) {
 			t.Fatalf("hose %d unexpectedly fully approved (no competition?)", i)
 		}
 	}
+	batchEntries := opts.Risk.Cache.Len()
 	cps, err := NegotiateSearch(topo, hoses, res, opts)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if got := opts.Risk.Cache.Len(); got != batchEntries || got == 0 {
+		t.Errorf("caller's result cache holds %d entries after the search, %d before: candidates must go to the search's own cache", got, batchEntries)
 	}
 	if len(cps) != 2 {
 		t.Fatalf("counter-proposals = %d, want 2", len(cps))

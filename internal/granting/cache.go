@@ -1,28 +1,20 @@
-// The admission cache: everything the service reuses across decisions. Since
-// the incremental-risk work this is delta-aware, not flush-on-any-epoch-bump:
-// the topology's mutation journal (topology.DeltaSince) says what an epoch
-// bump actually touched, and each level keeps as much warm state as stays
-// sound.
+// The admission cache: everything the service reuses across decisions, all of
+// it valid for the topology epoch it was computed at.
 //
 // Two levels:
 //
-//   - Assessment level: a risk.ResultCache (scenario states plus per-scenario
-//     results, patched in place after mutations) wired into
-//     risk.Options.Cache, plus a flow.RunnerPool recycling allocator scratch.
-//     Neither is ever flushed here — the result cache invalidates itself per
-//     scenario using the mutation delta, and a pooled Runner is fully reset
+//   - Assessment level: a risk.ResultCache (scenario sets plus assessment
+//     results) wired into risk.Options.Cache, plus a flow.RunnerPool recycling
+//     allocator scratch. Neither is ever flushed here — a result-cache entry
+//     filled at another epoch is a miss, and a pooled Runner is fully reset
 //     per allocation.
 //   - Decision level: an LRU memo of whole-batch outcomes keyed by the
 //     canonical batch signature. A re-submitted request set (idempotent
-//     retries, replayed grants) skips the risk pass entirely. The memo
-//     survives epoch bumps whose delta touches no link (region additions):
-//     routing outcomes cannot change, so the decisions stand. Any
-//     link-touching delta drops the memo — max-min routing is global, so a
-//     remote capacity or probability change can shift every hose's
-//     admittable rate; per-request "does my segment touch the mutated link"
-//     filtering would be unsound (DESIGN.md §10). Dropped memos fall through
-//     to the delta-warm assessment level, which is where post-mutation
-//     re-decisions get their speedup.
+//     retries, replayed grants) skips the risk pass entirely. Any epoch change
+//     drops the memo — max-min routing is global, so a remote capacity or
+//     probability change can shift every hose's admittable rate; per-request
+//     "does my segment touch the mutated link" filtering would be unsound
+//     (DESIGN.md §10).
 //
 // The decision memo keys on the WHOLE batch, never per request: co-batched
 // hoses compete for the same capacity, so a request's outcome is only
@@ -81,20 +73,14 @@ func newCache(topo *topology.Topology, maxMemo int) *cache {
 	}
 }
 
-// ensureEpochLocked reconciles the memo with topology mutations since the
-// last decision: a delta that touches no link keeps every memoized decision;
-// anything else (or an untraceable span) drops the memo. The assessment
-// level is untouched either way — the result cache patches itself.
+// ensureEpochLocked drops the memo when the topology has mutated since the
+// last decision.
 func (c *cache) ensureEpochLocked() {
 	ep := c.topo.Epoch()
 	if ep == c.epoch {
 		return
 	}
-	delta, ok := c.topo.DeltaSince(c.epoch)
 	c.epoch = ep
-	if ok && !delta.TouchesLinks() {
-		return
-	}
 	c.memo = make(map[uint64]*list.Element)
 	c.lru.Init()
 	mCacheFlushes.Inc()
@@ -132,7 +118,7 @@ func batchSig(reqSigs []string, o *Options) string {
 	b.WriteByte('|')
 	b.WriteString(strconv.Itoa(o.Approval.Risk.Scenarios))
 	b.WriteByte('|')
-	b.WriteString(strconv.FormatBool(o.Approval.Risk.SkipAllUp))
+	b.WriteString("false") // a risk option deleted in ISSUE 22; journals written before it carry this signature
 	b.WriteByte('|')
 	b.WriteString(strconv.Itoa(o.PeriodDays))
 	b.WriteString("|neg:")

@@ -1,6 +1,7 @@
 package granting
 
 import (
+	"io"
 	"strings"
 	"sync"
 	"testing"
@@ -12,6 +13,7 @@ import (
 	"entitlement/internal/hose"
 	"entitlement/internal/risk"
 	"entitlement/internal/topology"
+	"entitlement/internal/wire"
 )
 
 var testStart = time.Date(2026, 5, 1, 0, 0, 0, 0, time.UTC)
@@ -373,5 +375,54 @@ func TestDummyNPGSkipsContract(t *testing.T) {
 	}
 	if db.Len() != 0 {
 		t.Errorf("dummy contract stored: %d", db.Len())
+	}
+}
+
+// flakySink fails its first n puts with err, then stores nothing and succeeds.
+type flakySink struct {
+	err   error
+	fails int
+	puts  int
+}
+
+func (f *flakySink) Put(contract.Contract) error {
+	f.puts++
+	if f.puts <= f.fails {
+		return f.err
+	}
+	return nil
+}
+
+// TestSinkPutRetriedOnceWhenTransient: a transport failure on the contract
+// push (the connection a contractdb restart broke) is retried once before it
+// costs the decision; a second transient failure, or an error the remote
+// handler returned, is not.
+func TestSinkPutRetriedOnceWhenTransient(t *testing.T) {
+	transient := &wire.TransientError{Err: io.EOF}
+	for _, tc := range []struct {
+		name     string
+		sink     *flakySink
+		want     Status
+		wantPuts int
+	}{
+		{"one transient failure", &flakySink{err: transient, fails: 1}, StatusApproved, 2},
+		{"two transient failures", &flakySink{err: transient, fails: 2}, StatusError, 2},
+		{"remote rejection", &flakySink{err: &wire.RemoteError{Message: "no"}, fails: 1}, StatusError, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			svc := NewService(topology.FigureSix(), tc.sink, testOptions(1))
+			defer svc.Close()
+			id, err := svc.Submit(testRequests()[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			d, err := svc.Wait(id, 2*time.Minute)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d.Status != tc.want || tc.sink.puts != tc.wantPuts {
+				t.Errorf("status %s after %d puts (%s), want %s after %d", d.Status, tc.sink.puts, d.Err, tc.want, tc.wantPuts)
+			}
+		})
 	}
 }

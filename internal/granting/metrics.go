@@ -19,7 +19,7 @@ var (
 	mMemoMisses      = obs.RegisterCounter("entitlement_grantd_decision_cache_misses_total", "Requests that needed a full risk pass. Counted per request, matching the /grants report.")
 	mMemoEvictions   = obs.RegisterCounter("entitlement_grantd_memo_evictions_total", "Memoized batch decisions evicted by the LRU bound (Options.MemoMaxEntries).")
 	mCacheHitRatio   = obs.RegisterGauge("entitlement_grantd_cache_hit_ratio", "Decision-memo hit ratio since start (hits / lookups).")
-	mCacheFlushes    = obs.RegisterCounter("entitlement_grantd_cache_flushes_total", "Decision-memo drops triggered by a link-touching topology delta.")
+	mCacheFlushes    = obs.RegisterCounter("entitlement_grantd_cache_flushes_total", "Decision-memo drops triggered by a topology mutation (any epoch change).")
 	mStoreFails      = obs.RegisterCounter("entitlement_grantd_store_failures_total", "Granted contracts that failed to store in the contract database.")
 
 	// Admission control: the queue is bounded (Options.MaxQueue) and aged

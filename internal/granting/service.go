@@ -865,7 +865,13 @@ func (s *Service) decide(batch []*submission) {
 			i := off + k
 			decs[i].ID = ids[i]
 			if s.sink != nil && decs[i].Contract != nil {
-				if serr := s.sink.Put(*decs[i].Contract); serr != nil {
+				serr := s.sink.Put(*decs[i].Contract)
+				if wire.IsTransient(serr) {
+					// Put is idempotent per NPG: one retry rides out the
+					// connection a sink restart broke.
+					serr = s.sink.Put(*decs[i].Contract)
+				}
+				if serr != nil {
 					decs[i].Status = StatusError
 					decs[i].Err = fmt.Sprintf("store contract: %v", serr)
 					mStoreFails.Inc()

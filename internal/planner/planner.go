@@ -5,7 +5,7 @@
 // capacity. This package answers the build-side question: which links
 // actually bind under failures, and which upgrades unlock the most demand.
 //
-// Analysis runs the same Monte-Carlo failure scenarios as the risk engine;
+// Analysis is a visitor of the risk engine's scenario pass (risk.Simulate):
 // a link is charged as binding in a scenario when it is saturated while
 // demand goes unmet. RecommendUpgrades greedily upgrades the most-binding
 // link and re-evaluates, yielding an ordered augmentation plan.
@@ -14,29 +14,25 @@ package planner
 import (
 	"errors"
 	"fmt"
-	"math/rand"
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"entitlement/internal/flow"
+	"entitlement/internal/risk"
 	"entitlement/internal/topology"
 )
 
 // Options configures the analysis.
 type Options struct {
-	// Scenarios is the number of failure scenarios sampled. Default 200.
+	// Scenarios is the number of failure scenarios sampled; the healthy
+	// network is always analyzed as one more. Default 200.
 	Scenarios int
 	Seed      int64
 	Alloc     flow.AllocateOptions
 	// SaturationThreshold marks a link binding when its utilization
 	// exceeds this fraction while demand is unmet. Default 0.999.
 	SaturationThreshold float64
-	// Workers is the scenario-evaluation parallelism: 0 uses
-	// runtime.GOMAXPROCS(0), 1 forces the serial path. Failure states are
-	// pre-drawn serially and per-scenario outcomes reduced in scenario
-	// order, so results are identical for every worker count.
+	// Workers is risk.Options.Workers: results are identical for every
+	// value.
 	Workers int
 }
 
@@ -92,96 +88,43 @@ func Analyze(topo *topology.Topology, demands []flow.Demand, opts Options) (*Rep
 		return nil, errors.New("planner: no demands")
 	}
 	o := opts.withDefaults()
-	rng := rand.New(rand.NewSource(o.Seed))
 	totalDemand := 0.0
 	for _, d := range demands {
 		totalDemand += d.Rate
 	}
 
-	// Pre-draw every failure state serially (deterministic regardless of
-	// worker count), evaluate scenarios in parallel, then reduce in
-	// scenario order so float accumulation is order-stable.
-	states := make([]*topology.FailureState, o.Scenarios)
-	for s := range states {
-		states[s] = topo.SampleFailures(rng)
-		if s == 0 {
-			states[s] = topo.AllUp() // always include the healthy network
-		}
-	}
-	type outcome struct {
-		admitted float64
-		binding  []int32 // saturated-while-up links, regardless of shortfall
-	}
-	outs := make([]outcome, o.Scenarios)
-	evalScenario := func(r *flow.Runner, s int) {
-		state := states[s]
-		alloc := r.Allocate(state, demands, o.Alloc)
-		admitted := 0.0
-		for _, d := range demands {
-			admitted += alloc.Admitted[d.Key]
-		}
-		var binding []int32
-		for id := range topo.Links {
-			if !state.IsUp(id) {
-				continue
-			}
-			if alloc.LinkUsed[id] >= topo.Links[id].Capacity*o.SaturationThreshold {
-				binding = append(binding, int32(id))
-			}
-		}
-		outs[s] = outcome{admitted: admitted, binding: binding}
-	}
-	workers := o.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > o.Scenarios {
-		workers = o.Scenarios
-	}
-	topo.Dense()
-	if workers <= 1 {
-		r := flow.NewRunner(topo)
-		for s := 0; s < o.Scenarios; s++ {
-			evalScenario(r, s)
-		}
-	} else {
-		var next int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				r := flow.NewRunner(topo)
-				for {
-					s := int(atomic.AddInt64(&next, 1)) - 1
-					if s >= o.Scenarios {
-						return
-					}
-					evalScenario(r, s)
-				}
-			}()
-		}
-		wg.Wait()
-	}
-
+	// Scenarios in the same failure state have the same outcome, so each
+	// distinct state is charged once with its multiplicity.
 	bindCount := make([]int, topo.NumLinks())
 	bindShortfall := make([]float64, topo.NumLinks())
-	admittedSum := 0.0
-	for s := 0; s < o.Scenarios; s++ {
-		admittedSum += outs[s].admitted
-		shortfall := totalDemand - outs[s].admitted
-		if shortfall <= 1e-6 {
-			continue
-		}
-		for _, id := range outs[s].binding {
-			bindCount[id]++
-			bindShortfall[id] += shortfall
-		}
+	admittedSum, scenarios := 0.0, 0
+	err := risk.Simulate(topo, demands, risk.Options{Scenarios: o.Scenarios, Seed: o.Seed, Workers: o.Workers, Alloc: o.Alloc},
+		func(st *risk.State) {
+			admitted := 0.0
+			for _, a := range st.Admitted {
+				admitted += a
+			}
+			scenarios += st.Count
+			admittedSum += admitted * float64(st.Count)
+			shortfall := totalDemand - admitted
+			if shortfall <= 1e-6 {
+				return
+			}
+			for id := range topo.Links {
+				capacity := topo.Links[id].Capacity
+				if st.Failure.IsUp(id) && capacity-st.Net.Residual(id) >= capacity*o.SaturationThreshold {
+					bindCount[id] += st.Count
+					bindShortfall[id] += shortfall * float64(st.Count)
+				}
+			}
+		})
+	if err != nil {
+		return nil, err
 	}
 
 	rep := &Report{
 		TotalDemand: totalDemand,
-		AvgAdmitted: admittedSum / float64(o.Scenarios),
+		AvgAdmitted: admittedSum / float64(scenarios),
 	}
 	rep.AvgShortfall = rep.TotalDemand - rep.AvgAdmitted
 	for id, n := range bindCount {
@@ -191,7 +134,7 @@ func Analyze(topo *topology.Topology, demands []flow.Demand, opts Options) (*Rep
 		l := topo.Link(id)
 		rep.Findings = append(rep.Findings, LinkFinding{
 			LinkID: id, Src: l.Src, Dst: l.Dst, Capacity: l.Capacity,
-			BindFraction: float64(n) / float64(o.Scenarios),
+			BindFraction: float64(n) / float64(scenarios),
 			AvgShortfall: bindShortfall[id] / float64(n),
 		})
 	}

@@ -1,9 +1,12 @@
 package planner
 
 import (
+	"reflect"
 	"testing"
 
 	"entitlement/internal/flow"
+	"entitlement/internal/obs"
+	"entitlement/internal/risk"
 	"entitlement/internal/topology"
 )
 
@@ -151,5 +154,64 @@ func TestRecommendUpgradesUnderFailures(t *testing.T) {
 	if after.AdmittedFraction() <= before.AdmittedFraction() {
 		t.Errorf("plan did not improve admission: %v -> %v",
 			before.AdmittedFraction(), after.AdmittedFraction())
+	}
+}
+
+// TestAnalyzeRejectsDuplicateKeys is the regression test for the double count:
+// two demands sharing a Key were summed into one admitted entry that the loop
+// then added once per demand, so two 1 G demands keyed "x" on FigureSix
+// reported AdmittedFraction() == 2 and AvgShortfall == -2e9. On the shared
+// engine they are rejected exactly as risk.Assess rejects them.
+func TestAnalyzeRejectsDuplicateKeys(t *testing.T) {
+	demands := []flow.Demand{
+		{Key: "x", Src: "A", Dst: "B", Rate: 1e9},
+		{Key: "x", Src: "A", Dst: "B", Rate: 1e9},
+	}
+	rep, err := Analyze(topology.FigureSix(), demands, Options{Scenarios: 10, Seed: 1})
+	if err == nil {
+		t.Fatalf("duplicate demand keys accepted: admitted fraction %v, shortfall %v", rep.AdmittedFraction(), rep.AvgShortfall)
+	}
+	_, wantErr := risk.Assess(topology.FigureSix(), demands, risk.Options{Scenarios: 10, Seed: 1})
+	if wantErr == nil || err.Error() != wantErr.Error() {
+		t.Errorf("Analyze: %v; risk.Assess: %v", err, wantErr)
+	}
+}
+
+// TestAnalyzeSharesTheScenarioEngine: on the default backbone, loaded until
+// links bind, the report is identical at every worker count, and the analysis
+// routes fewer failure states than it samples (the risk engine's class
+// dedupe, read off its counters).
+func TestAnalyzeSharesTheScenarioEngine(t *testing.T) {
+	topo, err := topology.Backbone(topology.DefaultBackboneOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	regions := topo.RegionsSorted()
+	meanCap := topo.TotalCapacity() / float64(topo.NumLinks())
+	var demands []flow.Demand
+	for i, src := range regions {
+		dst := regions[(i+len(regions)/2)%len(regions)]
+		demands = append(demands, flow.Demand{Key: string(src) + ">" + string(dst), Src: src, Dst: dst, Rate: 1.5 * meanCap, Class: i % 4})
+	}
+	counter := func(name string) int64 { return obs.Default().Snapshot()[name].(int64) }
+	var ref *Report
+	for _, workers := range []int{1, 2, 8} {
+		sampled0, routed0 := counter("entitlement_risk_scenarios_total"), counter("entitlement_risk_routed_states_total")
+		rep, err := Analyze(topo, demands, Options{Seed: 2, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sampled, routed := counter("entitlement_risk_scenarios_total")-sampled0, counter("entitlement_risk_routed_states_total")-routed0
+		if sampled != 201 || routed < 2 || routed >= sampled/2 {
+			t.Errorf("workers=%d: routed %d states for %d scenarios, want 201 scenarios deduped to a fraction", workers, routed, sampled)
+		}
+		if len(rep.Findings) == 0 || rep.AvgShortfall <= 0 {
+			t.Fatalf("workers=%d: fixture binds no link (findings %d, shortfall %v)", workers, len(rep.Findings), rep.AvgShortfall)
+		}
+		if ref == nil {
+			ref = rep
+		} else if !reflect.DeepEqual(rep, ref) {
+			t.Errorf("workers=%d: report differs from workers=1:\n%+v\nvs\n%+v", workers, rep, ref)
+		}
 	}
 }

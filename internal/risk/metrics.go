@@ -20,13 +20,10 @@ var (
 	mWorkerUtil      = obs.RegisterGauge("entitlement_risk_worker_utilization", "Fraction of the worker pool's wall-clock budget spent evaluating scenarios in the most recent assessment.")
 )
 
-// Incremental-assessment instruments: cache traffic on the result cache and
-// how much simulation the delta path avoided (spliced scenarios are slots
-// served from cache; resimulated ones were actually routed).
+// Result-cache traffic: a hit replays a cached assessment, a miss (absent
+// entry, or one filled at another topology epoch) runs a full scenario pass.
 var (
-	mResultCacheHits      = obs.RegisterCounter("entitlement_risk_result_cache_hits_total", "Assessments served from the result cache (replayed or delta-patched).")
-	mResultCacheMisses    = obs.RegisterCounter("entitlement_risk_result_cache_misses_total", "Assessments computed from scratch (absent entry or truncated journal).")
+	mResultCacheHits      = obs.RegisterCounter("entitlement_risk_result_cache_hits_total", "Assessments replayed from the result cache.")
+	mResultCacheMisses    = obs.RegisterCounter("entitlement_risk_result_cache_misses_total", "Assessments computed from scratch (absent entry, or one filled at another topology epoch).")
 	mResultCacheEvictions = obs.RegisterCounter("entitlement_risk_result_cache_evictions_total", "Cached assessments evicted by the LRU bound.")
-	mDeltaResimulated     = obs.RegisterCounter("entitlement_risk_delta_resimulated_scenarios_total", "Scenario slots re-simulated across all cache-routed assessments.")
-	mDeltaSpliced         = obs.RegisterCounter("entitlement_risk_delta_spliced_scenarios_total", "Scenario slots spliced from cache instead of re-simulated.")
 )

@@ -1,6 +1,7 @@
 package risk
 
 import (
+	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -414,9 +415,10 @@ func TestAssessPhasedValidation(t *testing.T) {
 }
 
 // TestAssessPrecomputedStatesAndPool pins the byte-identity contract of the
-// granting service's scenario cache: an assessment fed SampleStates output
-// plus a recycled RunnerPool returns exactly the samples a plain assessment
-// draws itself, and the StatesFor hook is equivalent to passing States.
+// granting service's reuse path: an assessment whose scenario set comes
+// precomputed from a ResultCache (sampled by an earlier entry with other
+// demands) and whose runners come recycled from a RunnerPool returns exactly
+// the samples a plain assessment draws itself.
 func TestAssessPrecomputedStatesAndPool(t *testing.T) {
 	topo := topology.FigureSix()
 	regions := topo.RegionsSorted()
@@ -434,45 +436,21 @@ func TestAssessPrecomputedStatesAndPool(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	states := SampleStates(topo, base)
-	if len(states) != base.Scenarios {
-		t.Fatalf("SampleStates returned %d states, want %d", len(states), base.Scenarios)
-	}
 	pool := flow.NewRunnerPool(topo, 8)
-	withStates := base
-	withStates.States = states
-	withStates.Pool = pool
-	var hookCalls int
-	withHook := base
-	withHook.Pool = pool
-	withHook.StatesFor = func(tp *topology.Topology, o Options) []*topology.FailureState {
-		hookCalls++
-		if tp != topo || o.Seed != base.Seed || o.Scenarios != base.Scenarios {
-			t.Errorf("StatesFor saw (%p, seed %d, scenarios %d)", tp, o.Seed, o.Scenarios)
-		}
-		return states
+	reuse := base
+	reuse.Pool = pool
+	reuse.Cache = NewResultCache(4)
+	// Another demand list samples the set; the assessment under test adopts it.
+	if _, err := Assess(topo, demands[:3], reuse); err != nil {
+		t.Fatal(err)
 	}
-	for name, opts := range map[string]Options{"states": withStates, "hook": withHook} {
-		// Run twice so the second pass reuses pooled runners.
-		for pass := 0; pass < 2; pass++ {
-			res, err := Assess(topo, demands, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, d := range demands {
-				want := ref.Curves[d.Key].Samples()
-				got := res.Curves[d.Key].Samples()
-				for i := range want {
-					if want[i] != got[i] {
-						t.Fatalf("%s pass %d: %s sample %d: %v != %v", name, pass, d.Key, i, got[i], want[i])
-					}
-				}
-			}
+	// Twice, so the second pass also replays from the cache.
+	for pass := 0; pass < 2; pass++ {
+		res, err := Assess(topo, demands, reuse)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if hookCalls != 2 {
-		t.Errorf("StatesFor called %d times, want 2", hookCalls)
+		requireSameCurves(t, fmt.Sprintf("cache+pool pass %d", pass), demands, res, ref)
 	}
 	if pool.Idle() == 0 {
 		t.Error("pool retained no runners after assessments")
@@ -486,37 +464,26 @@ func TestAssessPrecomputedStatesAndPool(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, d := range demands {
-		want := ref.Curves[d.Key].Samples()
-		got := res.Curves[d.Key].Samples()
-		for i := range want {
-			if want[i] != got[i] {
-				t.Fatalf("foreign pool: %s sample %d: %v != %v", d.Key, i, got[i], want[i])
-			}
-		}
-	}
+	requireSameCurves(t, "foreign pool", demands, res, ref)
 	if foreign.Pool.Idle() != 0 {
 		t.Errorf("foreign pool gained %d runners", foreign.Pool.Idle())
 	}
-
-	// Mismatched States length is rejected loudly.
-	bad := base
-	bad.States = states[:10]
-	if _, err := Assess(topo, demands, bad); err == nil {
-		t.Error("short States slice accepted")
-	}
 }
 
+// TestSampleStatesDefaultScenarios: zero Scenarios falls back to the 500-draw
+// default, in Simulate as in Assess: 501 slots with the forced all-up one.
 func TestSampleStatesDefaultScenarios(t *testing.T) {
-	// Zero Scenarios falls back to the same 500-draw default Assess uses.
-	topo := reliableDiamond(0)
-	states := SampleStates(topo, Options{Seed: 3})
-	if len(states) != 500 {
-		t.Fatalf("default SampleStates drew %d scenarios, want 500", len(states))
+	topo := reliableDiamond(0.2)
+	d := []flow.Demand{{Key: "p", Src: "A", Dst: "D", Rate: 100, Class: 0}}
+	slots := 0
+	if err := Simulate(topo, d, Options{Seed: 3}, func(st *State) { slots += st.Count }); err != nil {
+		t.Fatal(err)
 	}
-	for i, s := range states {
-		if s == nil {
-			t.Fatalf("scenario %d is nil", i)
-		}
+	res, err := Assess(topo, d, Options{Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Curves["p"].Scenarios(); slots != 501 || got != 501 {
+		t.Fatalf("default pass covered %d slots, default assessment %d, want 501", slots, got)
 	}
 }

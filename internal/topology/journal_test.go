@@ -24,7 +24,7 @@ func TestDeltaSinceFoldsMutationClasses(t *testing.T) {
 
 	// Up-to-date span: empty delta, ok.
 	d, ok := topo.DeltaSince(base)
-	if !ok || !d.Empty() || d.TouchesLinks() {
+	if !ok || !d.Empty() {
 		t.Fatalf("up-to-date span: delta=%+v ok=%v, want empty/true", d, ok)
 	}
 
@@ -60,9 +60,6 @@ func TestDeltaSinceFoldsMutationClasses(t *testing.T) {
 	}
 	if got, want := d.SampleTouched, []int{0, 1, 2}; !intsEqual(got, want) {
 		t.Errorf("SampleTouched = %v, want %v", got, want)
-	}
-	if !d.TouchesLinks() {
-		t.Error("link-touching delta reports TouchesLinks false")
 	}
 }
 
@@ -146,7 +143,7 @@ func TestSetLinkDisabled(t *testing.T) {
 		t.Error("disabled link up in AllUp")
 	}
 	for j := 0; j < 20; j++ {
-		if !topo.LinkDownAt(1, j, 0) {
+		if !topo.SampleFailureAt(1, j).Down[0] {
 			t.Errorf("disabled link up in scenario %d", j)
 		}
 	}
@@ -178,10 +175,10 @@ func TestSetLinkFailProbValidation(t *testing.T) {
 	}
 }
 
-// TestSampleFailureAtDecomposable pins the property the splice machinery
-// rests on: scenario j's state is random-access (independent of other
-// scenarios) and link i's bit depends only on its own sampling inputs, so
-// mutating one link perturbs no other link's bits in any scenario.
+// TestSampleFailureAtDecomposable: scenario j's state is random-access
+// (independent of other scenarios) and link i's bit depends only on its own
+// sampling inputs, so mutating one link perturbs no other link's bits in any
+// scenario.
 func TestSampleFailureAtDecomposable(t *testing.T) {
 	opts := DefaultBackboneOptions()
 	opts.Regions = 8
@@ -196,15 +193,11 @@ func TestSampleFailureAtDecomposable(t *testing.T) {
 	for j := range before {
 		before[j] = topo.SampleFailureAt(seed, j)
 	}
-	// Determinism and consistency with the per-link predicate.
 	for j := 0; j < scenarios; j++ {
 		again := topo.SampleFailureAt(seed, j)
 		for i := range before[j].Down {
 			if before[j].Down[i] != again.Down[i] {
 				t.Fatalf("scenario %d link %d not deterministic", j, i)
-			}
-			if before[j].Down[i] != topo.LinkDownAt(seed, j, i) {
-				t.Fatalf("scenario %d link %d: LinkDownAt disagrees with SampleFailureAt", j, i)
 			}
 		}
 	}
@@ -236,7 +229,7 @@ func TestSampleFailureAtDecomposable(t *testing.T) {
 }
 
 // TestSampleFailureAtRates checks the hash draws actually hit their target
-// probabilities (the same law SampleFailures implements sequentially).
+// probabilities.
 func TestSampleFailureAtRates(t *testing.T) {
 	topo := New()
 	topo.EnsureSRLG(0, 0.2)

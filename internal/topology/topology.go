@@ -66,8 +66,8 @@ type Topology struct {
 	// writes through Link() pointers bypass it.
 	epoch atomic.Uint64
 
-	// journal records which links each epoch bump touched, so caches can
-	// invalidate incrementally (DeltaSince) instead of flushing wholesale.
+	// journal records which links each epoch bump touched, so an incident's
+	// attribution envelope can name them (DeltaSince).
 	journalMu   sync.Mutex
 	journal     []journalEntry
 	journalBase uint64 // DeltaSince can answer for any since >= journalBase
@@ -85,7 +85,7 @@ func (t *Topology) Epoch() uint64 { return t.epoch.Load() }
 // --- Mutation journal -----------------------------------------------------
 
 // MutationKind classifies one journaled API mutation; Delta folds kinds into
-// the two properties caches care about (sampling inputs vs capacities).
+// sampling inputs vs capacities.
 type MutationKind uint8
 
 // Journaled mutation kinds.
@@ -106,8 +106,8 @@ type journalEntry struct {
 }
 
 // maxJournal bounds the journal; older entries are dropped and journalBase
-// advances, turning DeltaSince for pre-base epochs into a full-recompute
-// signal rather than unbounded memory.
+// advances, turning DeltaSince for pre-base epochs into "not covered" rather
+// than unbounded memory.
 const maxJournal = 4096
 
 // record journals one mutation under the epoch the bump just produced.
@@ -125,23 +125,18 @@ func (t *Topology) record(kind MutationKind, links ...int) {
 // Delta summarizes every journaled mutation in the half-open epoch span
 // (From, To]: which links' failure-sampling inputs changed, which existing
 // links' capacities changed, which links are new, and whether regions were
-// added. It is the unit the risk result cache invalidates by.
+// added.
 type Delta struct {
 	From, To uint64
-	// AddedRegions reports region additions (no link is touched; routing
-	// outcomes for existing demands are unaffected).
+	// AddedRegions reports region additions (no link is touched).
 	AddedRegions bool
-	// AddedLinks are links created in the span. Their sampled state must be
-	// drawn fresh; scenarios where a new link is up must be re-simulated.
+	// AddedLinks are links created in the span.
 	AddedLinks []int
-	// CapTouched are pre-existing links whose capacity changed. Scenarios
-	// where such a link is up must be re-simulated; scenarios where it is
-	// down are unaffected (a down link's capacity is irrelevant).
+	// CapTouched are pre-existing links whose capacity changed.
 	CapTouched []int
 	// SampleTouched are pre-existing links whose failure-sampling inputs
 	// changed (FailProb, their SRLG's cut probability, or the Disabled
-	// flag). Their down-bits must be redrawn; only scenarios where a bit
-	// actually flips need re-simulation.
+	// flag).
 	SampleTouched []int
 }
 
@@ -151,15 +146,9 @@ func (d *Delta) Empty() bool {
 		len(d.CapTouched) == 0 && len(d.SampleTouched) == 0)
 }
 
-// TouchesLinks reports whether any link was added or modified in the span.
-// Region-only deltas leave every existing assessment and decision intact.
-func (d *Delta) TouchesLinks() bool {
-	return d != nil && (len(d.AddedLinks) > 0 || len(d.CapTouched) > 0 || len(d.SampleTouched) > 0)
-}
-
 // DeltaSince returns the merged mutation delta for the span (since, Epoch()].
-// ok is false when the journal no longer covers the span (the caller must
-// fall back to a full recompute) or since is ahead of the current epoch.
+// ok is false when the journal no longer covers the span or since is ahead of
+// the current epoch.
 // An up-to-date since returns an empty delta with ok true.
 func (t *Topology) DeltaSince(since uint64) (*Delta, bool) {
 	now := t.epoch.Load()
@@ -489,38 +478,14 @@ func (t *Topology) FailSRLG(s *FailureState, srlgID int) error {
 	return errors.New("topology: unknown SRLG")
 }
 
-// SampleFailures draws a random failure scenario: each SRLG is cut with its
-// CutProb (taking down all members), and each remaining link fails
-// independently with its FailProb.
-func (t *Topology) SampleFailures(rng *rand.Rand) *FailureState {
-	s := t.AllUp()
-	for _, g := range t.SRLGs {
-		if g.CutProb > 0 && rng.Float64() < g.CutProb {
-			for _, id := range g.Members {
-				s.Down[id] = true
-			}
-		}
-	}
-	for i := range t.Links {
-		if s.Down[i] {
-			continue
-		}
-		if p := t.Links[i].FailProb; p > 0 && rng.Float64() < p {
-			s.Down[i] = true
-		}
-	}
-	return s
-}
-
 // --- Decomposable scenario sampling ---------------------------------------
 //
 // SampleFailureAt draws scenario j's failure state with one independent hash
 // draw per (seed, scenario, entity), instead of one sequential RNG stream per
-// scenario. The draw for link i depends only on (seed, j, i, FailProb_i) and
-// its SRLG's (seed, j, groupID, CutProb): mutating one link perturbs only that
-// link's bit in each scenario, so a post-mutation re-assessment can redraw the
-// touched bits, find the scenarios where a bit actually flipped, and splice
-// every other scenario's result from cache — byte-identical to a full pass.
+// scenario: each SRLG is cut with its CutProb (taking down all members), and
+// each remaining link fails independently with its FailProb. The draw for link
+// i depends only on (seed, j, i, FailProb_i) and its SRLG's (seed, j, groupID,
+// CutProb), so scenarios can be drawn in any order, on any goroutine.
 
 const (
 	linkSalt = 0x6c696e6b5f646f77 // "link_dow"
@@ -550,25 +515,9 @@ func srlgCutAt(seed int64, scenario int, g *SRLG) bool {
 	return g != nil && g.CutProb > 0 && scenarioU01(seed, scenario, srlgSalt, uint64(g.ID)) < g.CutProb
 }
 
-// LinkDownAt reports whether link id is down in sampled scenario `scenario`
-// under the given seed: administratively disabled, cut with its SRLG, or
-// independently failed. The result depends only on the link's own sampling
-// inputs (Disabled, FailProb, its SRLG's CutProb), never on other links.
-func (t *Topology) LinkDownAt(seed int64, scenario int, id int) bool {
-	l := &t.Links[id]
-	if l.Disabled {
-		return true
-	}
-	if l.SRLG >= 0 && srlgCutAt(seed, scenario, t.srlgOf(l.SRLG)) {
-		return true
-	}
-	return l.FailProb > 0 && scenarioU01(seed, scenario, linkSalt, uint64(id)) < l.FailProb
-}
-
 // SampleFailureAt draws the failure state of sampled scenario `scenario`
-// under seed. Unlike SampleFailures it is random-access: scenario j's state
-// is independent of how many scenarios were drawn before it, and of any links
-// that do not belong to it.
+// under seed. It is random-access: scenario j's state is independent of how
+// many scenarios were drawn before it.
 func (t *Topology) SampleFailureAt(seed int64, scenario int) *FailureState {
 	s := &FailureState{Down: make([]bool, len(t.Links))}
 	for g := range t.SRLGs {

@@ -1,7 +1,6 @@
 package topology
 
 import (
-	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -129,10 +128,9 @@ func TestSampleFailuresSRLGAtomicity(t *testing.T) {
 	topo := New()
 	topo.EnsureSRLG(0, 0.5)
 	ab, ba, _ := topo.AddBidirectional("A", "B", 100, 0, 0)
-	rng := rand.New(rand.NewSource(3))
 	sawCut, sawUp := false, false
 	for i := 0; i < 200; i++ {
-		s := topo.SampleFailures(rng)
+		s := topo.SampleFailureAt(3, i)
 		if s.Down[ab] != s.Down[ba] {
 			t.Fatal("SRLG members failed independently")
 		}
@@ -150,11 +148,10 @@ func TestSampleFailuresSRLGAtomicity(t *testing.T) {
 func TestSampleFailuresIndependentRate(t *testing.T) {
 	topo := New()
 	id, _ := topo.AddLink("A", "B", 100, 0.25, -1)
-	rng := rand.New(rand.NewSource(9))
 	down := 0
 	const n = 4000
 	for i := 0; i < n; i++ {
-		if topo.SampleFailures(rng).Down[id] {
+		if topo.SampleFailureAt(9, i).Down[id] {
 			down++
 		}
 	}
