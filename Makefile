@@ -118,13 +118,16 @@ slo:
 	go test -race -count=1 -timeout 120s ./internal/slo/
 	$(call go_test_run,-race -count=1 -timeout 120s -v,TestSLOConformanceIncident,./internal/integration/)
 
-# Incident black box: lifecycle/budget/crash-tail unit tests, the parent
+# Incident black box: lifecycle/budget/crash-tail unit tests, the link
+# lookback and budget rules, the envelope reload from a capture, the parent
 # commit's capture fixture, the capture decoder's fuzz seed corpus, the
-# drain-race accounting invariant, and the golden end-to-end drill — a recorded incident must replay byte-identically
-# through the real engine and the envelope must name the injected root cause.
-# All under the race detector.
+# drain-race accounting invariant, sloctl's commands against the fixture, and
+# the golden end-to-end drill — a recorded incident, envelope included, must
+# replay byte-identically through the real engine and the envelope must name
+# the injected root cause. All under the race detector.
 replay:
-	$(call go_test_run,-race -count=1 -timeout 180s,TestBlackbox|TestReadParentCapture|TestEnvelopeRoundtrip|TestDrainDropAccountingRace|FuzzBlackboxDecode,./internal/slo/)
+	$(call go_test_run,-race -count=1 -timeout 180s,TestBlackbox|TestBlackboxLinkLookback|TestBlackboxLinkRecordsSurviveBudget|TestBlackboxEnvelopeFromCapture|TestReplayEnvelopeDivergence|TestReadParentCapture|TestEnvelopeRoundtrip|TestDrainDropAccountingRace|FuzzBlackboxDecode,./internal/slo/)
+	$(call go_test_run,-race -count=1 -timeout 120s,TestRun,./cmd/sloctl/)
 	$(call go_test_run,-race -count=1 -timeout 180s -v,TestBlackboxIncidentReplay,./internal/integration/)
 
 bench:

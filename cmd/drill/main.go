@@ -30,7 +30,6 @@ import (
 	"entitlement/internal/obs"
 	"entitlement/internal/slo"
 	"entitlement/internal/stats"
-	"entitlement/internal/topology"
 )
 
 func main() {
@@ -90,26 +89,20 @@ func main() {
 		opts.Conformance = eng
 	}
 	if *blackboxDir != "" {
-		// A one-link control-plane topology mirrors the drill's backbone so
-		// the incident's blackholed link shows up in the capture's
-		// attribution envelope via the mutation journal.
-		topo := topology.New()
-		linkID, err := topo.AddLink("TEST", "REMOTE", opts.LinkCapacity, 0, -1)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "drill: topology: %v\n", err)
-			os.Exit(1)
-		}
-		if opts.Incident != nil {
-			opts.Incident.Topology = topo
-			opts.Incident.LinkID = linkID
-		}
-		bb, err = slo.NewBlackbox(slo.BlackboxOptions{Dir: *blackboxDir, Topology: topo})
+		var err error
+		bb, err = slo.NewBlackbox(slo.BlackboxOptions{Dir: *blackboxDir})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "drill: blackbox: %v\n", err)
 			os.Exit(1)
 		}
 		eng.AttachCapture(bb)
 		opts.Spans = bb
+		if opts.Incident != nil {
+			// The incident reports its blackholed link's down/up into the
+			// capture, so the envelope names it.
+			opts.Incident.Links = bb
+			opts.Incident.SRLG = -1
+		}
 	}
 
 	if *metricsAddr != "" {

@@ -37,41 +37,44 @@ import (
 )
 
 func main() {
-	if len(os.Args) < 2 {
-		usage()
-		os.Exit(2)
-	}
-	var err error
-	switch os.Args[1] {
-	case "inspect":
-		err = inspect(os.Args[2:])
-	case "replay":
-		err = replay(os.Args[2:])
-	case "trace":
-		err = traceCmd(os.Args[2:])
-	case "-h", "--help", "help":
-		usage()
-		return
-	default:
-		fmt.Fprintf(os.Stderr, "sloctl: unknown command %q\n", os.Args[1])
-		usage()
-		os.Exit(2)
-	}
-	if err != nil {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintf(os.Stderr, "sloctl: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func usage() {
-	fmt.Fprintf(os.Stderr, "usage:\n  sloctl inspect <capture.cap | dir>\n  sloctl replay [-strict] [-report] <capture.cap>\n  sloctl trace [-addr HOST:PORT] <trace-id>\n  sloctl trace -capture <capture.cap> [<trace-id>]\n")
+func run(args []string, stdout, stderr io.Writer) error {
+	if len(args) == 0 {
+		usage(stderr)
+		return fmt.Errorf("missing command")
+	}
+	switch args[0] {
+	case "inspect":
+		return inspect(args[1:], stdout, stderr)
+	case "replay":
+		return replay(args[1:], stdout, stderr)
+	case "trace":
+		return traceCmd(args[1:], stdout, stderr)
+	case "-h", "--help", "help":
+		usage(stderr)
+		return nil
+	}
+	usage(stderr)
+	return fmt.Errorf("unknown command %q", args[0])
+}
+
+func usage(w io.Writer) {
+	fmt.Fprintf(w, "usage:\n  sloctl inspect <capture.cap | dir>\n  sloctl replay [-strict] [-report] <capture.cap>\n  sloctl trace [-addr HOST:PORT] <trace-id>\n  sloctl trace -capture <capture.cap> [<trace-id>]\n")
 }
 
 // inspect dumps the index of one capture, or of every capture in a
 // directory, as JSON.
-func inspect(args []string) error {
-	fs := flag.NewFlagSet("inspect", flag.ExitOnError)
-	fs.Parse(args)
+func inspect(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("inspect", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 	if fs.NArg() != 1 {
 		return fmt.Errorf("inspect takes one capture file or directory")
 	}
@@ -94,7 +97,7 @@ func inspect(args []string) error {
 		}
 		indexes = append(indexes, c.Index())
 	}
-	enc := json.NewEncoder(os.Stdout)
+	enc := json.NewEncoder(stdout)
 	enc.SetIndent("", "  ")
 	if len(indexes) == 1 {
 		return enc.Encode(indexes[0])
@@ -104,12 +107,15 @@ func inspect(args []string) error {
 
 // replay re-drives one capture and reports whether the engine reproduced
 // the live run byte-for-byte.
-func replay(args []string) error {
-	fs := flag.NewFlagSet("replay", flag.ExitOnError)
+func replay(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("replay", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	strict := fs.Bool("strict", false, "exit non-zero when the replay diverges from the recording")
 	report := fs.Bool("report", false, "print the replayed conformance report as text")
 	envelope := fs.Bool("envelope", false, "print the recorded attribution envelope as JSON")
-	fs.Parse(args)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 	if fs.NArg() != 1 {
 		return fmt.Errorf("replay takes one capture file")
 	}
@@ -128,10 +134,10 @@ func replay(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%s\n", out)
+	fmt.Fprintf(stdout, "%s\n", out)
 	if *report && res.Report != nil {
-		fmt.Println()
-		fmt.Print(res.Report.Text())
+		fmt.Fprintln(stdout)
+		fmt.Fprint(stdout, res.Report.Text())
 	}
 	if *envelope {
 		if env := c.Envelope(); env != nil {
@@ -139,15 +145,15 @@ func replay(args []string) error {
 			if err != nil {
 				return err
 			}
-			fmt.Printf("\n%s\n", data)
+			fmt.Fprintf(stdout, "\n%s\n", data)
 		} else {
-			fmt.Fprintln(os.Stderr, "sloctl: capture has no envelope (incident never closed)")
+			fmt.Fprintln(stderr, "sloctl: capture has no envelope (incident never closed)")
 		}
 	}
 	// Causal paths: each fail-open or degraded host's first bad cycle,
 	// rendered from the span tree the black box retained for it. This is
 	// the "why", where the availability series above is only the "what".
-	printCausalPaths(c)
+	printCausalPaths(stdout, c)
 	if *strict && !res.Identical {
 		return fmt.Errorf("replay diverged: %s", res.Divergence)
 	}
@@ -156,14 +162,14 @@ func replay(args []string) error {
 
 // printCausalPaths renders the first degraded-or-worse cycle per host that
 // carries a retained span tree.
-func printCausalPaths(c *slo.Capture) {
+func printCausalPaths(w io.Writer, c *slo.Capture) {
 	printed := map[string]bool{}
 	for _, sp := range c.Spans() {
 		if !(sp.FailedOpen || sp.Degraded) || len(sp.Tree) == 0 || printed[sp.Host] {
 			continue
 		}
 		printed[sp.Host] = true
-		fmt.Printf("\ncausal path: host %s %s at %s (stale %s)\n%s",
+		fmt.Fprintf(w, "\ncausal path: host %s %s at %s (stale %s)\n%s",
 			sp.Host, cycleOutcome(sp), sp.At.Format(time.RFC3339), sp.StaleFor,
 			trace.Tree{TraceID: sp.TraceID, Reason: cycleOutcome(sp), Spans: sp.Tree}.Render())
 	}
@@ -182,27 +188,30 @@ func cycleOutcome(sp slo.CycleSpan) string {
 
 // traceCmd renders one distributed span tree (or lists what is available)
 // from a live /debug/traces endpoint or a recorded capture.
-func traceCmd(args []string) error {
-	fs := flag.NewFlagSet("trace", flag.ExitOnError)
+func traceCmd(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("trace", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	addr := fs.String("addr", "", "fetch from this process's /debug/traces endpoint")
 	capture := fs.String("capture", "", "read cycle span trees from this incident capture instead")
-	fs.Parse(args)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 	switch {
 	case *addr != "" && *capture != "":
 		return fmt.Errorf("trace takes -addr or -capture, not both")
 	case *capture != "":
-		return traceFromCapture(*capture, fs.Arg(0))
+		return traceFromCapture(stdout, *capture, fs.Arg(0))
 	case *addr != "":
 		if fs.NArg() != 1 {
 			return fmt.Errorf("trace -addr takes one trace id")
 		}
-		return traceFromAddr(*addr, fs.Arg(0))
+		return traceFromAddr(stdout, *addr, fs.Arg(0))
 	default:
 		return fmt.Errorf("trace needs -addr HOST:PORT or -capture FILE")
 	}
 }
 
-func traceFromAddr(addr, id string) error {
+func traceFromAddr(w io.Writer, addr, id string) error {
 	resp, err := http.Get("http://" + addr + "/debug/traces?trace=" + id)
 	if err != nil {
 		return err
@@ -222,12 +231,12 @@ func traceFromAddr(addr, id string) error {
 		return fmt.Errorf("trace %s not retained", id)
 	}
 	for _, t := range out.Traces {
-		fmt.Print(t.Render())
+		fmt.Fprint(w, t.Render())
 	}
 	return nil
 }
 
-func traceFromCapture(path, id string) error {
+func traceFromCapture(w io.Writer, path, id string) error {
 	c, err := slo.ReadCapture(path)
 	if err != nil {
 		return err
@@ -239,7 +248,7 @@ func traceFromCapture(path, id string) error {
 		}
 		if id == "" {
 			// Listing mode: one line per recorded tree.
-			fmt.Printf("%s  host %s  %s  %d spans  %s\n",
+			fmt.Fprintf(w, "%s  host %s  %s  %d spans  %s\n",
 				sp.TraceID, sp.Host, cycleOutcome(sp), len(sp.Tree), sp.At.Format(time.RFC3339))
 			found = true
 			continue
@@ -248,7 +257,7 @@ func traceFromCapture(path, id string) error {
 			continue
 		}
 		found = true
-		fmt.Print(trace.Tree{TraceID: sp.TraceID, Reason: cycleOutcome(sp), Spans: sp.Tree}.Render())
+		fmt.Fprint(w, trace.Tree{TraceID: sp.TraceID, Reason: cycleOutcome(sp), Spans: sp.Tree}.Render())
 	}
 	if !found {
 		if id == "" {

@@ -1,6 +1,7 @@
 package integration
 
 import (
+	"encoding/json"
 	"os"
 	"strings"
 	"testing"
@@ -10,19 +11,19 @@ import (
 	"entitlement/internal/obs"
 	otrace "entitlement/internal/obs/trace"
 	"entitlement/internal/slo"
-	"entitlement/internal/topology"
 )
 
 // TestBlackboxIncidentReplay is the acceptance drill for the incident black
 // box: a netsim drill runs with an injected incident that blackholes half of
 // Coldstorage's traffic AND knocks out three agents' control-plane
-// dependencies, while a control-plane topology mirrors the blackholed link.
+// dependencies, and reports the blackholed link's down/up into the box.
 // The burn-rate alerts must arm a capture, the capture must close with an
 // attribution envelope naming the injected root cause — the disabled link,
 // the breached contract with its service-attributed overage, and the
 // fail-open agents with their trace IDs — and `sloctl replay`'s engine path
-// must re-derive the live run's availability series, alert sequence, and
-// closing conformance verdicts byte-identically from the capture alone.
+// must re-derive the live run's availability series, alert sequence,
+// closing conformance verdicts and the envelope itself byte-identically from
+// the capture alone.
 // Black-box lifecycle metrics are pinned with exact deltas.
 func TestBlackboxIncidentReplay(t *testing.T) {
 	const (
@@ -32,19 +33,11 @@ func TestBlackboxIncidentReplay(t *testing.T) {
 		incidentHi = 85
 		failAgents = 3
 		objective  = 0.999
+		srlg       = 7
 	)
 	simStart := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 	simTimeAt := func(tick int) time.Time {
 		return simStart.Add(time.Duration(tick+1) * time.Second)
-	}
-
-	// Control-plane topology: one backbone link the incident disables and
-	// restores, so the mutation journal can implicate it.
-	topo := topology.New()
-	srlg := topo.EnsureSRLG(7, 0.001)
-	linkID, err := topo.AddLink("TEST", "REMOTE", 4e12, 0.0001, srlg)
-	if err != nil {
-		t.Fatal(err)
 	}
 
 	// Windows compressed so every alert clears inside the 360-tick run: the
@@ -59,7 +52,7 @@ func TestBlackboxIncidentReplay(t *testing.T) {
 		},
 	})
 	dir := t.TempDir()
-	bb, err := slo.NewBlackbox(slo.BlackboxOptions{Dir: dir, Topology: topo})
+	bb, err := slo.NewBlackbox(slo.BlackboxOptions{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +75,7 @@ func TestBlackboxIncidentReplay(t *testing.T) {
 	opts.Tracer = otrace.NewCollector(otrace.Options{})
 	opts.Incident = &netsim.DrillIncident{
 		StartTick: incidentLo, EndTick: incidentHi, DropFraction: 0.5,
-		FailAgents: failAgents, Topology: topo, LinkID: linkID,
+		FailAgents: failAgents, Links: bb, SRLG: srlg,
 	}
 
 	var armedTicks int
@@ -108,13 +101,10 @@ func TestBlackboxIncidentReplay(t *testing.T) {
 	}
 	env := envs[0]
 
-	// --- Root cause: the blackholed link, via the mutation journal. -----
-	if env.Network.DeltaTruncated {
-		t.Error("network attribution fell back to truncated-journal mode")
-	}
+	// --- Root cause: the blackholed link, from the capture's link records.
 	var hitLink bool
 	for _, lc := range env.Network.Changed {
-		if lc.ID == linkID {
+		if lc.ID == 0 {
 			hitLink = true
 			if lc.Name != "TEST->REMOTE" {
 				t.Errorf("implicated link name %q, want TEST->REMOTE", lc.Name)
@@ -209,6 +199,11 @@ func TestBlackboxIncidentReplay(t *testing.T) {
 	}
 	if !res.Identical {
 		t.Fatalf("replay diverged from the live run: %s", res.Divergence)
+	}
+	replayed, _ := json.Marshal(res.Envelope)
+	live, _ := json.Marshal(env)
+	if string(replayed) != string(live) {
+		t.Fatalf("replayed envelope differs from the live one:\nreplay %s\nlive   %s", replayed, live)
 	}
 	if res.Evals == 0 || res.Samples == 0 || res.Spans == 0 {
 		t.Errorf("replay saw evals=%d samples=%d spans=%d, want all positive", res.Evals, res.Samples, res.Spans)

@@ -72,13 +72,12 @@ type DrillIncident struct {
 	// short enough that they fail open mid-incident — the agent-attribution
 	// evidence the black box's envelope must name.
 	FailAgents int
-	// Topology and LinkID, when Topology is non-nil, mirror the incident
-	// into a control-plane topology: LinkID is administratively disabled at
-	// StartTick and restored at EndTick, so the mutation journal
-	// (DeltaSince) can implicate the blackholed link in the attribution
-	// envelope.
-	Topology *topology.Topology
-	LinkID   int
+	// Links, when set, is told the blackholed link (the drill's one
+	// backbone link, ID 0, "TEST->REMOTE", in shared-risk group SRLG) goes
+	// down at StartTick and comes back at EndTick — the black box's network
+	// attribution feed.
+	Links slo.LinkSink
+	SRLG  int
 }
 
 // Active reports whether the incident covers tick.
@@ -273,16 +272,10 @@ func RunDrill(opts DrillOptions) (*DrillReport, error) {
 		case stages[5].Start:
 			putEntitlement(opts.Demand * 2) // rollback
 		}
-		// Mirror the incident into the control-plane topology so the
-		// mutation journal records the blackholed link at the tick it
-		// actually went down (and its restoration).
-		if inc := opts.Incident; inc != nil && inc.Topology != nil {
-			switch tick {
-			case inc.StartTick:
-				inc.Topology.SetLinkDisabled(inc.LinkID, true)
-			case inc.EndTick:
-				inc.Topology.SetLinkDisabled(inc.LinkID, false)
-			}
+		if inc := opts.Incident; inc != nil && inc.Links != nil && (tick == inc.StartTick || tick == inc.EndTick) {
+			inc.Links.RecordLink(slo.LinkEvent{
+				At: sim.Now(), ID: 0, Name: link.Name, SRLG: inc.SRLG, Down: tick == inc.StartTick,
+			})
 		}
 		// ACLs are rebuilt every tick so the stage rule and an injected
 		// incident compose (drop fractions stack multiplicatively on the

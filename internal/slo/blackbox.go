@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"entitlement/internal/recordlog"
-	"entitlement/internal/topology"
 )
 
 // The incident black box persists the conformance plane's evidence while an
@@ -29,11 +28,12 @@ import (
 // written once and never rotated.
 //
 // A capture opens with a "meta" record (engine configuration, objectives,
-// pre-arm alert seeds, trigger transitions, topology epoch), then carries
-// interleaved "samp" (flight-recorder batches), "span" (agent cycle spans)
-// and "eval" (per-evaluation engine output) records, and closes with a
-// "rep" (final conformance report) and an "env" (attribution envelope)
-// record.
+// pre-arm alert seeds, trigger transitions), then carries interleaved "link"
+// (link state changes, the lookback window's first), "samp" (flight-recorder
+// batches), "span" (agent cycle spans) and "eval" (per-evaluation engine
+// output) records, and closes with a "rep" (final conformance report) and an
+// "env" (attribution envelope) record. "link" was added within version 1:
+// captures written before it simply have none.
 
 // captureVersion stamps the capture format; replay refuses versions it does
 // not understand rather than silently misreading evidence.
@@ -59,13 +59,6 @@ type CaptureMeta struct {
 	Objectives map[string]float64      `json:"objectives,omitempty"`
 	Alerts     map[string]ContractSeed `json:"alerts,omitempty"`
 	Trigger    []Transition            `json:"trigger,omitempty"`
-
-	// TopologyEpoch is the topology mutation counter as of roughly one
-	// fast-long window BEFORE arming: the root-cause mutation (a link
-	// disable, a capacity cut) necessarily precedes the alert fire by the
-	// burn-rate detection delay, so the envelope's DeltaSince must look back
-	// past it.
-	TopologyEpoch uint64 `json:"topology_epoch"`
 }
 
 // SampBatch is one series' newly-captured samples, in record order. Pre
@@ -87,6 +80,7 @@ type captureRecord struct {
 	Samp *SampBatch   `json:"samp,omitempty"`
 	Span *CycleSpan   `json:"span,omitempty"`
 	Eval *EvalRecord  `json:"eval,omitempty"`
+	Link *LinkEvent   `json:"link,omitempty"`
 	Rep  *Report      `json:"rep,omitempty"`
 	Env  *Envelope    `json:"env,omitempty"`
 }
@@ -103,6 +97,8 @@ func (r *captureRecord) shapeOK() bool {
 		return r.Span != nil
 	case "eval":
 		return r.Eval != nil
+	case "link":
+		return r.Link != nil
 	case "rep":
 		return r.Rep != nil
 	case "env":
@@ -152,9 +148,6 @@ type BlackboxOptions struct {
 	// Envelopes is how many closed-incident envelopes are kept in memory
 	// for the /slo/incidents handler. Default 16.
 	Envelopes int
-	// Topology, when set, lets the envelope attribute the incident to the
-	// links the mutation journal says changed in the lookback window.
-	Topology *topology.Topology
 	// Logger receives arm/close/degrade events. Nil disables logging.
 	Logger *slog.Logger
 }
@@ -180,17 +173,11 @@ func (o BlackboxOptions) withDefaults() BlackboxOptions {
 // stalls while agents keep reporting.
 const maxArmedSpans = 32768
 
-// epochMark is one (time, topology epoch) observation, logged while
-// disarmed so arming can look back to the pre-incident epoch.
-type epochMark struct {
-	at    time.Time
-	epoch uint64
-}
-
 // Blackbox is the incident flight-data recorder. Attach one to an Engine
 // via AttachCapture; it observes every evaluation and manages the
 // arm → capture → close lifecycle by itself. RecordSpan is safe from any
-// goroutine and cheap enough for per-cycle use (see BenchmarkBlackboxAppend).
+// goroutine and cheap enough for per-cycle use (see BenchmarkBlackboxAppend);
+// RecordLink is safe from any goroutine too.
 type Blackbox struct {
 	opts BlackboxOptions
 
@@ -198,7 +185,7 @@ type Blackbox struct {
 	// disarmed state: pre-incident context rings.
 	spanRing []CycleSpan
 	spanPos  uint64
-	epochLog []epochMark
+	links    []LinkEvent // pruned to one fast-long window before the last evaluation
 	// armed state.
 	armed     bool
 	failed    bool // a write error degraded this capture; lifecycle continues
@@ -210,8 +197,7 @@ type Blackbox struct {
 	records   int
 	cursors   map[*Series]uint64
 	spans     []CycleSpan
-	agg       map[string]*AgentIncident
-	segs      map[Key]*windowAgg
+	fold      *verdictFold
 	sampDrops uint64
 	spanDrops uint64
 	recDrops  uint64
@@ -265,16 +251,29 @@ func NewBlackbox(opts BlackboxOptions) (*Blackbox, error) {
 		start = len(bb.gens) - opts.Envelopes
 	}
 	for _, gen := range bb.gens[start:] {
-		data, err := os.ReadFile(envNames.Path(opts.Dir, gen))
-		if err != nil {
-			continue // capture closed without an envelope (crash mid-incident)
-		}
-		var env Envelope
-		if json.Unmarshal(data, &env) == nil {
-			bb.envs = append(bb.envs, &env)
+		if env := loadEnvelope(opts.Dir, gen); env != nil {
+			bb.envs = append(bb.envs, env)
 		}
 	}
 	return bb, nil
+}
+
+// loadEnvelope reads one generation's envelope from its .json sidecar, or —
+// when that is missing or torn — from the capture's own env record: the
+// capture syncs its env record before the sidecar is written, so a crash in
+// between leaves only the capture holding it. Nil when the incident never
+// closed (crash mid-incident).
+func loadEnvelope(dir string, gen uint64) *Envelope {
+	if data, err := os.ReadFile(envNames.Path(dir, gen)); err == nil {
+		var env Envelope
+		if json.Unmarshal(data, &env) == nil {
+			return &env
+		}
+	}
+	if c, err := ReadCapture(capNames.Path(dir, gen)); err == nil {
+		return c.Envelope()
+	}
+	return nil
 }
 
 // RecordSpan feeds one enforcement-cycle span into the box. While disarmed
@@ -295,6 +294,26 @@ func (bb *Blackbox) RecordSpan(sp CycleSpan) {
 		bb.spanPos++
 	}
 	bb.mu.Unlock()
+}
+
+// RecordLink feeds one link state change into the box. While disarmed it is
+// held for the lookback window (the root-cause change precedes the alert by
+// the burn-rate detection delay); while armed it is written at once. Link
+// records are never withheld by the byte budget: they are the envelope's
+// only network evidence.
+func (bb *Blackbox) RecordLink(ev LinkEvent) {
+	bb.mu.Lock()
+	defer bb.mu.Unlock()
+	if !bb.armed {
+		bb.links = append(bb.links, ev)
+		return
+	}
+	bb.writeLinkLocked(ev)
+}
+
+func (bb *Blackbox) writeLinkLocked(ev LinkEvent) {
+	bb.writeLocked(&captureRecord{T: "link", Link: &ev})
+	bb.fold.link(ev)
 }
 
 // Armed reports whether an incident capture is in flight.
@@ -338,7 +357,8 @@ func (bb *Blackbox) observe(e *Engine, now time.Time, pre map[string]ContractSee
 	bb.mu.Lock()
 	defer bb.mu.Unlock()
 	if !bb.armed {
-		bb.markEpochLocked(e, now)
+		cutoff := now.Add(-e.opts.Windows.FastLong)
+		bb.links = slices.DeleteFunc(bb.links, func(ev LinkEvent) bool { return ev.At.Before(cutoff) })
 		fired := false
 		for _, t := range trans {
 			if t.Active {
@@ -361,20 +381,6 @@ func (bb *Blackbox) observe(e *Engine, now time.Time, pre map[string]ContractSee
 	}
 }
 
-// markEpochLocked logs (now, topology epoch) while disarmed and prunes the
-// log so its head stays the newest mark at least one fast-long window old —
-// the lookback anchor armLocked uses.
-func (bb *Blackbox) markEpochLocked(e *Engine, now time.Time) {
-	if bb.opts.Topology == nil {
-		return
-	}
-	bb.epochLog = append(bb.epochLog, epochMark{at: now, epoch: bb.opts.Topology.Epoch()})
-	cutoff := now.Add(-e.opts.Windows.FastLong)
-	for len(bb.epochLog) >= 2 && !bb.epochLog[1].at.After(cutoff) {
-		bb.epochLog = bb.epochLog[1:]
-	}
-}
-
 func anyAlertActiveLocked(e *Engine) bool {
 	for _, name := range e.order {
 		cs := e.contracts[name]
@@ -386,8 +392,8 @@ func anyAlertActiveLocked(e *Engine) bool {
 }
 
 // armLocked opens a new capture generation and writes the arm-time state:
-// meta, the pre-incident span ring, the full retained flight-recorder
-// history, and the arming evaluation's output.
+// meta, the lookback window's link changes, the pre-incident span ring, the
+// full retained flight-recorder history, and the arming evaluation's output.
 func (bb *Blackbox) armLocked(e *Engine, now time.Time, pre map[string]ContractSeed, trans []Transition) {
 	bb.armed = true
 	bb.failed = false
@@ -400,8 +406,7 @@ func (bb *Blackbox) armLocked(e *Engine, now time.Time, pre map[string]ContractS
 	bb.recDrops = 0
 	bb.truncated = false
 	bb.cursors = make(map[*Series]uint64)
-	bb.agg = make(map[string]*AgentIncident)
-	bb.segs = make(map[Key]*windowAgg)
+	bb.fold = newVerdictFold(e.opts.LossTolerance)
 	bb.spans = bb.spans[:0]
 	bb.pruneLocked()
 
@@ -415,10 +420,6 @@ func (bb *Blackbox) armLocked(e *Engine, now time.Time, pre map[string]ContractS
 	}
 	bb.f = f
 
-	seedEpoch := uint64(0)
-	if len(bb.epochLog) > 0 {
-		seedEpoch = bb.epochLog[0].epoch
-	}
 	bb.meta = &CaptureMeta{
 		Version:       captureVersion,
 		Generation:    bb.gen,
@@ -433,9 +434,12 @@ func (bb *Blackbox) armLocked(e *Engine, now time.Time, pre map[string]ContractS
 		Objectives:    e.objectivesLocked(),
 		Alerts:        pre,
 		Trigger:       trans,
-		TopologyEpoch: seedEpoch,
 	}
 	bb.writeLocked(&captureRecord{T: "meta", Meta: bb.meta})
+	for _, ev := range bb.links {
+		bb.writeLinkLocked(ev)
+	}
+	bb.links = bb.links[:0]
 
 	// Pre-incident spans from the disarmed ring, oldest first.
 	n, capn := bb.spanPos, uint64(len(bb.spanRing))
@@ -446,7 +450,7 @@ func (bb *Blackbox) armLocked(e *Engine, now time.Time, pre map[string]ContractS
 	for i := start; i < n; i++ {
 		sp := bb.spanRing[i%capn]
 		bb.writeLocked(&captureRecord{T: "span", Span: &sp})
-		bb.aggregateSpanLocked(sp)
+		bb.fold.span(sp)
 	}
 
 	bb.flushLocked(e, true)
@@ -487,20 +491,10 @@ func (bb *Blackbox) flushLocked(e *Engine, pre bool) {
 			continue
 		}
 		batch := SampBatch{Key: s.Key(), Pre: pre}
-		// Every captured sample also folds into the capture-window aggregate
-		// the envelope's verdicts are computed from: by close time the
-		// incident has necessarily aged out of the engine's rolling windows
-		// (that is what lets the alerts clear), so close-time window stats
-		// cannot describe the incident — only this accumulation can.
-		seg := bb.segs[s.Key()]
-		if seg == nil {
-			seg = &windowAgg{}
-			bb.segs[s.Key()] = seg
-		}
 		next, dropped := s.drainRange(from, bound, func(sm Sample) {
 			batch.Samples = append(batch.Samples, sm)
-			seg.add(classify(sm, e.opts.LossTolerance))
 		})
+		bb.fold.samples(batch.Key, batch.Samples)
 		bb.cursors[s] = next
 		if dropped > 0 {
 			batch.Dropped = dropped
@@ -519,34 +513,9 @@ func (bb *Blackbox) flushLocked(e *Engine, pre bool) {
 	}
 	for i := range bb.spans {
 		bb.writeLocked(&captureRecord{T: "span", Span: &bb.spans[i]})
-		bb.aggregateSpanLocked(bb.spans[i])
+		bb.fold.span(bb.spans[i])
 	}
 	bb.spans = bb.spans[:0]
-}
-
-// aggregateSpanLocked folds one span into the per-host incident summary the
-// envelope reports.
-func (bb *Blackbox) aggregateSpanLocked(sp CycleSpan) {
-	ai := bb.agg[sp.Host]
-	if ai == nil {
-		ai = &AgentIncident{Host: sp.Host, Contract: sp.Contract}
-		bb.agg[sp.Host] = ai
-	}
-	ai.Cycles++
-	if sp.Degraded && !sp.FailedOpen {
-		ai.DegradedCycles++
-		if ai.FirstDegraded.IsZero() {
-			ai.FirstDegraded = sp.At
-		}
-	}
-	if sp.FailedOpen {
-		ai.FailOpenCycles++
-		if ai.FirstFailOpen.IsZero() {
-			ai.FirstFailOpen = sp.At
-			ai.FailOpenTraceID = sp.TraceID
-		}
-		ai.MaxStaleFor = max(ai.MaxStaleFor, sp.StaleFor)
-	}
 }
 
 // writeLocked frames and appends one record, enforcing the per-incident
@@ -599,7 +568,17 @@ func (bb *Blackbox) syncLocked() {
 func (bb *Blackbox) closeIncidentLocked(e *Engine, now time.Time) {
 	rep := e.reportLocked(now)
 	bb.writeLocked(&captureRecord{T: "rep", Rep: rep})
-	env := bb.buildEnvelopeLocked(e, now, rep)
+	env := bb.fold.envelope(bb.meta, rep)
+	env.Capture = CaptureStats{
+		File:             capNames.Path(bb.opts.Dir, bb.gen),
+		Records:          bb.records,
+		Bytes:            bb.bytes,
+		DroppedRecords:   bb.recDrops,
+		DroppedSamples:   bb.sampDrops,
+		DroppedSpans:     bb.spanDrops,
+		TruncatedHistory: bb.truncated,
+		WriteFailed:      bb.failed,
+	}
 	bb.writeLocked(&captureRecord{T: "env", Env: env})
 	bb.syncLocked()
 	if bb.f != nil {
@@ -626,10 +605,8 @@ func (bb *Blackbox) closeIncidentLocked(e *Engine, now time.Time) {
 	bb.armed = false
 	bb.meta = nil
 	bb.cursors = nil
-	bb.agg = nil
-	bb.segs = nil
+	bb.fold = nil
 	bb.spanPos = 0
-	bb.epochLog = bb.epochLog[:0]
 	mBBArmed.Set(0)
 	mIncidents.Inc()
 	if bb.opts.Logger != nil {

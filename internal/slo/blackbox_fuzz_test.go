@@ -18,10 +18,9 @@ func captureTestRecords() []captureRecord {
 		Windows:  Windows{Fast: 5 * time.Minute, FastLong: time.Hour, Slow: 6 * time.Hour, SlowLong: 72 * time.Hour},
 		FastBurn: 14.4, SlowBurn: 1, ClearRatio: 0.5, ClearAfter: 3,
 		LossTolerance: 0.01, RingCapacity: 1024,
-		Objectives:    map[string]float64{"C": 0.999},
-		Alerts:        map[string]ContractSeed{"C": {Fast: AlertSeed{Active: true}}},
-		Trigger:       []Transition{{Contract: "C", Alert: "fast_burn", Active: true, At: at}},
-		TopologyEpoch: 7,
+		Objectives: map[string]float64{"C": 0.999},
+		Alerts:     map[string]ContractSeed{"C": {Fast: AlertSeed{Active: true}}},
+		Trigger:    []Transition{{Contract: "C", Alert: "fast_burn", Active: true, At: at}},
 	}
 	samp := &SampBatch{
 		Key:     Key{Contract: "C", Segment: "A/net", Class: "c4_low"},
@@ -32,10 +31,12 @@ func captureTestRecords() []captureRecord {
 		Contract: "C", Availability: [4]float64{0.5, 0.9, 0.99, 0.999},
 		Burn: [4]float64{500, 100, 10, 1}, HasSLO: true, FastActive: true,
 	}}}
+	link := &LinkEvent{At: at, ID: 0, Name: "A->B", SRLG: 3, Down: true}
 	rep := &Report{At: at, Contracts: []ContractVerdict{{Contract: "C", SLO: 0.999, HasSLO: true}}}
 	env := &Envelope{Version: captureVersion, Generation: 1, ArmedAt: at, ClosedAt: at.Add(time.Hour)}
 	return []captureRecord{
 		{T: "meta", Meta: meta},
+		{T: "link", Link: link},
 		{T: "samp", Samp: samp},
 		{T: "span", Span: span},
 		{T: "eval", Eval: eval},

@@ -12,7 +12,6 @@ import (
 
 	"entitlement/internal/faults"
 	"entitlement/internal/recordlog"
-	"entitlement/internal/topology"
 )
 
 // incidentRig drives one synthetic incident through an engine with a capture
@@ -22,23 +21,14 @@ type incidentRig struct {
 	eng  *Engine
 	rec  *Recorder
 	bb   *Blackbox
-	topo *topology.Topology
-	link int
+	link LinkEvent // the link each incident blackholes
 	key  Key
 	now  time.Time
 }
 
 func newIncidentRig(t testing.TB, dir string, opts BlackboxOptions) *incidentRig {
 	t.Helper()
-	topo := topology.New()
-	link, err := topo.AddLink("A", "B", 1e12, 0, topo.EnsureSRLG(3, 0.01))
-	if err != nil {
-		t.Fatal(err)
-	}
 	opts.Dir = dir
-	if opts.Topology == nil {
-		opts.Topology = topo
-	}
 	rec := NewRecorder(DefaultRingCapacity)
 	eng := NewEngine(rec, Options{Windows: Windows{
 		Fast: 10 * time.Second, FastLong: 20 * time.Second,
@@ -51,7 +41,7 @@ func newIncidentRig(t testing.TB, dir string, opts BlackboxOptions) *incidentRig
 	}
 	eng.AttachCapture(bb)
 	return &incidentRig{
-		eng: eng, rec: rec, bb: bb, topo: topo, link: link,
+		eng: eng, rec: rec, bb: bb, link: LinkEvent{ID: 0, Name: "A->B", SRLG: 3},
 		key: Key{Contract: "C", Segment: "A/net", Class: "c4_low"},
 		now: time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC),
 	}
@@ -79,8 +69,9 @@ func (r *incidentRig) tick(bad bool) time.Time {
 }
 
 // runIncident plays goodBefore good ticks, badTicks throttled ticks (with the
-// topology link blackholed for their duration), then good ticks until the box
-// disarms (or maxTicks elapse).
+// rig's link reported down just before them and up again after them, while
+// armed), then good ticks until the box disarms (or maxTicks elapse). The
+// closed incident must then re-derive from its capture alone.
 func (r *incidentRig) runIncident(t testing.TB, goodBefore, badTicks, maxTicks int) {
 	t.Helper()
 	for i := 0; i < goodBefore; i++ {
@@ -89,11 +80,11 @@ func (r *incidentRig) runIncident(t testing.TB, goodBefore, badTicks, maxTicks i
 			t.Fatalf("armed after %d good ticks with no incident", i+1)
 		}
 	}
-	r.topo.SetLinkDisabled(r.link, true)
+	r.setLink(true)
 	for i := 0; i < badTicks; i++ {
 		r.tick(true)
 	}
-	r.topo.SetLinkDisabled(r.link, false)
+	r.setLink(false)
 	if !r.bb.Armed() {
 		t.Fatal("burn-rate fire did not arm the black box")
 	}
@@ -103,6 +94,51 @@ func (r *incidentRig) runIncident(t testing.TB, goodBefore, badTicks, maxTicks i
 	if r.bb.Armed() {
 		t.Fatalf("incident did not close within %d ticks", maxTicks)
 	}
+	r.requireReplayedEnvelope(t)
+}
+
+func (r *incidentRig) setLink(down bool) {
+	ev := r.link
+	ev.At, ev.Down = r.now, down
+	r.bb.RecordLink(ev)
+}
+
+// requireReplayedEnvelope replays the latest closed incident's capture: the
+// envelope Replay recomputes must equal the live one, except that a capture
+// which withheld records must say so as its divergence — and even then its
+// network half, folded from link records the budget never withholds, must
+// match.
+func (r *incidentRig) requireReplayedEnvelope(t testing.TB) *ReplayResult {
+	t.Helper()
+	envs := r.bb.Envelopes()
+	env := envs[len(envs)-1]
+	c, err := ReadCapture(env.Capture.File)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := c.Replay()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Envelope == nil || !jsonEqual(res.Envelope.Network, env.Network) {
+		t.Fatalf("replayed network %+v, live %+v", res.Envelope, env.Network)
+	}
+	if env.Capture.DroppedRecords > 0 {
+		if res.Identical || !strings.Contains(res.Divergence, "withheld") {
+			t.Fatalf("capture withheld %d records, replay says identical=%v %q",
+				env.Capture.DroppedRecords, res.Identical, res.Divergence)
+		}
+		return res
+	}
+	if !res.Identical {
+		t.Fatalf("replay diverged: %s", res.Divergence)
+	}
+	if !jsonEqual(res.Envelope, env) {
+		a, _ := json.Marshal(res.Envelope)
+		b, _ := json.Marshal(env)
+		t.Fatalf("replayed envelope differs from the live one:\nreplay %s\nlive   %s", a, b)
+	}
+	return res
 }
 
 // TestBlackboxLifecycle drives arm → capture → close end to end at package
@@ -133,11 +169,8 @@ func TestBlackboxLifecycle(t *testing.T) {
 	if c.ServiceOverageRate <= 0 || c.NetworkThrottledRate <= 0 {
 		t.Errorf("demarcation rates missing: %+v", c)
 	}
-	if env.Network.DeltaTruncated || len(env.Network.Changed) == 0 {
-		t.Fatalf("network attribution = %+v, want the blackholed link", env.Network)
-	}
-	if lc := env.Network.Changed[0]; lc.ID != rig.link || lc.Name != "A->B" || lc.Disabled {
-		t.Errorf("implicated link = %+v", lc)
+	if want := []LinkChange{{ID: 0, Name: "A->B", SRLG: 3}}; !jsonEqual(env.Network.Changed, want) {
+		t.Errorf("network attribution = %+v, want the blackholed link, restored", env.Network)
 	}
 	if len(env.Agents) != 1 || env.Agents[0].FailOpenCycles != 5 || env.Agents[0].FailOpenTraceID != "h1-c9" {
 		t.Errorf("agent aggregate = %+v", env.Agents)
@@ -349,17 +382,27 @@ func TestReadParentCapture(t *testing.T) {
 	idx.Path = ""
 	golden("index.json", idx)
 
+	// Framing: each record's original payload, re-framed, is the bytes on
+	// disk (the structs have since lost fields, so re-marshaling them is not).
+	var payloads []json.RawMessage
+	recordlog.Scan(bytes.NewReader(data), func(p []byte) bool {
+		payloads = append(payloads, append(json.RawMessage(nil), p...))
+		return true
+	})
+	if len(payloads) != len(c.records) {
+		t.Fatalf("%d framed payloads, %d decoded records", len(payloads), len(c.records))
+	}
 	var enc recordlog.Encoder
 	var again []byte
-	for i := range c.records {
-		b, err := enc.Encode(&c.records[i])
+	for _, p := range payloads {
+		b, err := enc.Encode(p)
 		if err != nil {
 			t.Fatal(err)
 		}
 		again = append(again, b...)
 	}
 	if !bytes.Equal(again, data) {
-		t.Errorf("re-encoding the capture's %d records yields different bytes", len(c.records))
+		t.Errorf("re-framing the capture's %d payloads yields different bytes", len(payloads))
 	}
 
 	res, err := c.Replay()
@@ -369,5 +412,122 @@ func TestReadParentCapture(t *testing.T) {
 	if !res.Identical {
 		t.Errorf("replay diverged: %s", res.Divergence)
 	}
+	// Written before link records existed: the network half is carried,
+	// every other section recomputed, and the whole equals the recording.
+	if !jsonEqual(res.Envelope, c.Envelope()) {
+		t.Errorf("recomputed envelope %+v differs from the recorded one", res.Envelope)
+	}
 	golden("replay.json", res)
+}
+
+// TestBlackboxLinkLookback pins which link changes an envelope names: one
+// that went down just before the alert fired and recovered while armed is
+// named with its last state (disabled:false); one toggled more than a
+// fast-long window (20s here) before arming has left the lookback ring and is
+// not.
+func TestBlackboxLinkLookback(t *testing.T) {
+	rig := newIncidentRig(t, t.TempDir(), BlackboxOptions{})
+	for i := 0; i < 10; i++ {
+		rig.tick(false)
+	}
+	stale := LinkEvent{At: rig.now, ID: 1, Name: "B->A", SRLG: 3, Down: true}
+	rig.bb.RecordLink(stale)
+	rig.tick(false)
+	stale.At, stale.Down = rig.now, false
+	rig.bb.RecordLink(stale)
+	for i := 0; i < 25; i++ {
+		rig.tick(false)
+	}
+	rig.runIncident(t, 0, 5, 200)
+
+	env := rig.bb.Envelopes()[0]
+	if want := []LinkChange{{ID: 0, Name: "A->B", SRLG: 3}}; !jsonEqual(env.Network.Changed, want) {
+		t.Errorf("network attribution = %+v, want only the incident's link, restored", env.Network.Changed)
+	}
+	c, err := ReadCapture(env.Capture.File)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := c.Index().Records["link"]; got != 2 {
+		t.Errorf("capture holds %d link records, want the incident link's down and up", got)
+	}
+}
+
+// TestBlackboxLinkRecordsSurviveBudget exhausts the per-incident byte budget
+// with the opening record: every samp/span/eval is withheld, yet both link
+// records land, so the envelope's network half still re-derives from the
+// capture.
+func TestBlackboxLinkRecordsSurviveBudget(t *testing.T) {
+	rig := newIncidentRig(t, t.TempDir(), BlackboxOptions{MaxIncidentBytes: 1})
+	rig.runIncident(t, 10, 5, 200)
+	env := rig.bb.Envelopes()[0]
+	if env.Capture.DroppedRecords == 0 {
+		t.Fatal("a 1-byte budget withheld nothing")
+	}
+	c, err := ReadCapture(env.Capture.File)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx := c.Index()
+	if idx.Records["link"] != 2 || idx.Records["samp"] != 0 || idx.Evals != 0 {
+		t.Errorf("records = %v, want both link records and no samp/eval", idx.Records)
+	}
+	if len(env.Network.Changed) != 1 || env.Network.Changed[0].Name != "A->B" {
+		t.Errorf("network attribution = %+v", env.Network)
+	}
+}
+
+// TestBlackboxEnvelopeFromCapture is the crash between syncing a capture's
+// env record and writing its .json sidecar: a reopened box still lists the
+// envelope, read back from the capture, whether the sidecar is gone or torn.
+func TestBlackboxEnvelopeFromCapture(t *testing.T) {
+	dir := t.TempDir()
+	rig := newIncidentRig(t, dir, BlackboxOptions{})
+	rig.runIncident(t, 10, 5, 200)
+	rig.runIncident(t, 70, 5, 300)
+	want := rig.bb.Envelopes()
+	if err := os.Remove(envNames.Path(dir, 1)); err != nil {
+		t.Fatal(err)
+	}
+	torn := envNames.Path(dir, 2)
+	data, err := os.ReadFile(torn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(torn, data[:len(data)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	bb, err := NewBlackbox(BlackboxOptions{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := bb.Envelopes(); !jsonEqual(got, want) {
+		t.Fatalf("reopened box lists %d envelopes, want the %d closed ones", len(got), len(want))
+	}
+}
+
+// TestReplayEnvelopeDivergence: an env record whose verdict disagrees with
+// the records before it is named as such, not passed as identical.
+func TestReplayEnvelopeDivergence(t *testing.T) {
+	dir := t.TempDir()
+	newIncidentRig(t, dir, BlackboxOptions{}).runIncident(t, 10, 5, 200)
+	caps, _ := ListCaptures(dir)
+	for name, tamper := range map[string]func(*Envelope){
+		"contracts": func(env *Envelope) { env.Contracts[0].Availability = 1 },
+		"network":   func(env *Envelope) { env.Network.Changed[0].Disabled = true },
+		"agents":    func(env *Envelope) { env.Agents = nil },
+	} {
+		c, err := ReadCapture(caps[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		tamper(c.records[len(c.records)-1].Env)
+		res, err := c.Replay()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Identical || res.Divergence != "envelope diverged" {
+			t.Errorf("%s tampered: identical=%v divergence %q", name, res.Identical, res.Divergence)
+		}
+	}
 }

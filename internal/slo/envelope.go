@@ -1,19 +1,18 @@
 package slo
 
 import (
-	"fmt"
 	"sort"
 	"time"
-
-	"entitlement/internal/topology"
 )
 
 // Envelope is the structured attribution verdict emitted when an incident
 // closes: WHAT breached (contracts, segments), WHO is accountable per the
-// paper's §3.3 demarcation (network vs. service), WHICH network change the
-// topology mutation journal implicates, and WHICH agents degraded or failed
-// open while it ran. It is written next to the capture file, appended to the
-// capture itself as the final record, and served on /slo/incidents.
+// paper's §3.3 demarcation (network vs. service), WHICH links changed state
+// around it, and WHICH agents degraded or failed open while it ran. Every
+// section but Capture is a pure function of the capture's records
+// (verdictFold), so Replay recomputes it. It is written next to the capture
+// file, appended to the capture itself as the final record, and served on
+// /slo/incidents.
 type Envelope struct {
 	Version    int       `json:"version"`
 	Generation uint64    `json:"generation"`
@@ -69,18 +68,12 @@ type SegmentVerdict struct {
 	OverIntervals int64   `json:"over_intervals,omitempty"`
 }
 
-// NetworkAttribution names the topology mutations the journal recorded in
-// the lookback window — the change the incident is attributed to.
+// NetworkAttribution names the links whose state changed in the capture
+// window — the lookback before arming and the incident itself — the change
+// the incident is attributed to.
 type NetworkAttribution struct {
-	// EpochFrom/EpochTo delimit the journal span consulted.
-	EpochFrom uint64 `json:"epoch_from"`
-	EpochTo   uint64 `json:"epoch_to"`
-	// Changed lists links whose failure-sampling inputs, capacity, or
-	// existence changed in the span, sorted by link ID.
+	// Changed lists the links the capture's link records name, sorted by ID.
 	Changed []LinkChange `json:"changed,omitempty"`
-	// DeltaTruncated reports the mutation journal no longer covered the
-	// lookback span (attribution is best-effort, not authoritative).
-	DeltaTruncated bool `json:"delta_truncated,omitempty"`
 }
 
 // LinkChange is one implicated link.
@@ -88,12 +81,27 @@ type LinkChange struct {
 	ID   int    `json:"id"`
 	Name string `json:"name"` // "SRC->DST"
 	SRLG int    `json:"srlg"`
-	// Disabled is the link's administrative state AT CLOSE — a link that
-	// was blackholed and already restored reads false here; the journal
-	// still implicates it via its presence in this list.
-	Disabled        bool `json:"disabled,omitempty"`
-	Added           bool `json:"added,omitempty"`
-	CapacityChanged bool `json:"capacity_changed,omitempty"`
+	// Disabled is the link's last recorded state — a link that was
+	// blackholed and already restored reads false here; its presence in the
+	// list still implicates it.
+	Disabled bool `json:"disabled,omitempty"`
+}
+
+// LinkEvent is one link state change, reported by whoever makes it (netsim's
+// drill blackhole). It is the capture's "link" record and the only evidence
+// the envelope's network section is computed from.
+type LinkEvent struct {
+	At   time.Time `json:"at"`
+	ID   int       `json:"id"`
+	Name string    `json:"name"` // "SRC->DST"
+	SRLG int       `json:"srlg"`
+	Down bool      `json:"down"`
+}
+
+// LinkSink receives link state changes. The black box implements it; the
+// drill holds the interface so it never imports disk machinery.
+type LinkSink interface {
+	RecordLink(LinkEvent)
 }
 
 // AgentIncident summarizes one host's agent behavior over the capture.
@@ -134,37 +142,89 @@ type CaptureStats struct {
 	WriteFailed bool `json:"write_failed,omitempty"`
 }
 
-// buildEnvelopeLocked assembles the attribution verdict at incident close.
-// Called under both the engine lock (for per-segment window stats) and the
-// blackbox lock (for span aggregates and capture accounting).
-func (bb *Blackbox) buildEnvelopeLocked(e *Engine, now time.Time, rep *Report) *Envelope {
-	env := &Envelope{
-		Version:    captureVersion,
-		Generation: bb.gen,
-		ClosedAt:   now,
-		Capture: CaptureStats{
-			File:             capNames.Path(bb.opts.Dir, bb.gen),
-			Records:          bb.records,
-			Bytes:            bb.bytes,
-			DroppedRecords:   bb.recDrops,
-			DroppedSamples:   bb.sampDrops,
-			DroppedSpans:     bb.spanDrops,
-			TruncatedHistory: bb.truncated,
-			WriteFailed:      bb.failed,
-		},
-	}
-	if bb.meta != nil {
-		env.ArmedAt = bb.meta.ArmedAt
-		env.Trigger = bb.meta.Trigger
-	}
+// verdictFold accumulates an incident's verdict evidence record by record:
+// per-series capture-window aggregates, per-host span summaries and the last
+// recorded state of every link. The live box feeds it where it produces
+// records (before the byte budget is applied) and Replay feeds it the
+// records it reads back; envelope is the one builder both read the verdict
+// from.
+type verdictFold struct {
+	lossTolerance float64
+	segs          map[Key]*windowAgg
+	agents        map[string]*AgentIncident
+	links         map[int]LinkChange
+}
 
-	// Per-contract verdicts come from the capture-window aggregates the
-	// flush path accumulated — NOT from the close-time rolling windows,
-	// which the incident has necessarily aged out of by the time the alerts
-	// clear. The closing report still pins alert/hysteresis state; the
-	// contract name list rides on it so un-sampled contracts with
-	// objectives stay visible.
-	for _, v := range rep.Contracts {
+func newVerdictFold(lossTolerance float64) *verdictFold {
+	return &verdictFold{
+		lossTolerance: lossTolerance,
+		segs:          make(map[Key]*windowAgg),
+		agents:        make(map[string]*AgentIncident),
+		links:         make(map[int]LinkChange),
+	}
+}
+
+// samples folds one series' captured batch. The incident has necessarily
+// aged out of the engine's rolling windows by close time (that is what lets
+// the alerts clear), so close-time window stats cannot describe it — only
+// this accumulation can.
+func (f *verdictFold) samples(k Key, sms []Sample) {
+	seg := f.segs[k]
+	if seg == nil {
+		seg = &windowAgg{}
+		f.segs[k] = seg
+	}
+	for _, sm := range sms {
+		seg.add(classify(sm, f.lossTolerance))
+	}
+}
+
+// span folds one cycle span into its host's summary.
+func (f *verdictFold) span(sp CycleSpan) {
+	ai := f.agents[sp.Host]
+	if ai == nil {
+		ai = &AgentIncident{Host: sp.Host, Contract: sp.Contract}
+		f.agents[sp.Host] = ai
+	}
+	ai.Cycles++
+	if sp.Degraded && !sp.FailedOpen {
+		ai.DegradedCycles++
+		if ai.FirstDegraded.IsZero() {
+			ai.FirstDegraded = sp.At
+		}
+	}
+	if sp.FailedOpen {
+		ai.FailOpenCycles++
+		if ai.FirstFailOpen.IsZero() {
+			ai.FirstFailOpen = sp.At
+			ai.FailOpenTraceID = sp.TraceID
+		}
+		ai.MaxStaleFor = max(ai.MaxStaleFor, sp.StaleFor)
+	}
+}
+
+// link folds one link state change; the last one recorded wins.
+func (f *verdictFold) link(ev LinkEvent) {
+	f.links[ev.ID] = LinkChange{ID: ev.ID, Name: ev.Name, SRLG: ev.SRLG, Disabled: ev.Down}
+}
+
+// envelope assembles the verdict of the incident meta opened and rep closed;
+// Capture is left for the caller, which alone knows what the file received.
+// rep supplies the contract list (and objectives), so contracts with an
+// objective but no samples stay visible.
+func (f *verdictFold) envelope(meta *CaptureMeta, rep *Report) *Envelope {
+	env := &Envelope{
+		Version:    meta.Version,
+		Generation: meta.Generation,
+		ArmedAt:    meta.ArmedAt,
+		Trigger:    meta.Trigger,
+	}
+	var contracts []ContractVerdict
+	if rep != nil {
+		env.ClosedAt = rep.At
+		contracts = rep.Contracts
+	}
+	for _, v := range contracts {
 		ec := EnvelopeContract{
 			Contract:     v.Contract,
 			SLO:          v.SLO,
@@ -174,7 +234,7 @@ func (bb *Blackbox) buildEnvelopeLocked(e *Engine, now time.Time, rep *Report) *
 		// The contract's series in deterministic (segment, class) order,
 		// mirroring the engine's fold order.
 		var keys []Key
-		for k := range bb.segs {
+		for k := range f.segs {
 			if k.Contract == v.Contract {
 				keys = append(keys, k)
 			}
@@ -187,7 +247,7 @@ func (bb *Blackbox) buildEnvelopeLocked(e *Engine, now time.Time, rep *Report) *
 		})
 		var sum windowAgg
 		for _, k := range keys {
-			st := *bb.segs[k]
+			st := *f.segs[k]
 			sum.add(st)
 			a := st.availability()
 			// Contract availability is the MINIMUM across series, per the
@@ -224,73 +284,14 @@ func (bb *Blackbox) buildEnvelopeLocked(e *Engine, now time.Time, rep *Report) *
 		env.Contracts = append(env.Contracts, ec)
 	}
 
-	env.Network = bb.networkAttributionLocked()
+	for _, lc := range f.links {
+		env.Network.Changed = append(env.Network.Changed, lc)
+	}
+	sort.Slice(env.Network.Changed, func(i, j int) bool { return env.Network.Changed[i].ID < env.Network.Changed[j].ID })
 
-	for _, ai := range bb.agg {
+	for _, ai := range f.agents {
 		env.Agents = append(env.Agents, *ai)
 	}
 	sort.Slice(env.Agents, func(i, j int) bool { return env.Agents[i].Host < env.Agents[j].Host })
 	return env
-}
-
-// networkAttributionLocked asks the topology mutation journal which links
-// changed between the lookback epoch and now.
-func (bb *Blackbox) networkAttributionLocked() NetworkAttribution {
-	t := bb.opts.Topology
-	if t == nil {
-		return NetworkAttribution{}
-	}
-	since := uint64(0)
-	if bb.meta != nil {
-		since = bb.meta.TopologyEpoch
-	}
-	na := NetworkAttribution{EpochFrom: since, EpochTo: t.Epoch()}
-	delta, ok := t.DeltaSince(since)
-	if !ok {
-		// The journal rotated past the lookback point. Fall back to naming
-		// the links that are administratively down right now — weaker
-		// evidence, flagged as such.
-		na.DeltaTruncated = true
-		for id := 0; id < t.NumLinks(); id++ {
-			if l := t.Link(id); l.Disabled {
-				na.Changed = append(na.Changed, linkChange(t, id, false, false))
-			}
-		}
-		return na
-	}
-	added := make(map[int]bool, len(delta.AddedLinks))
-	capTouched := make(map[int]bool, len(delta.CapTouched))
-	ids := make(map[int]bool)
-	for _, id := range delta.AddedLinks {
-		added[id] = true
-		ids[id] = true
-	}
-	for _, id := range delta.CapTouched {
-		capTouched[id] = true
-		ids[id] = true
-	}
-	for _, id := range delta.SampleTouched {
-		ids[id] = true
-	}
-	ordered := make([]int, 0, len(ids))
-	for id := range ids {
-		ordered = append(ordered, id)
-	}
-	sort.Ints(ordered)
-	for _, id := range ordered {
-		na.Changed = append(na.Changed, linkChange(t, id, added[id], capTouched[id]))
-	}
-	return na
-}
-
-func linkChange(t *topology.Topology, id int, added, capTouched bool) LinkChange {
-	l := t.Link(id)
-	return LinkChange{
-		ID:              id,
-		Name:            fmt.Sprintf("%s->%s", l.Src, l.Dst),
-		SRLG:            l.SRLG,
-		Disabled:        l.Disabled,
-		Added:           added,
-		CapacityChanged: capTouched,
-	}
 }

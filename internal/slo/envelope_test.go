@@ -39,10 +39,9 @@ func TestEnvelopeRoundtrip(t *testing.T) {
 				Segments: []SegmentVerdict{{Segment: "TEST/net", Verdict: "clean", Availability: 1}}},
 		},
 		Network: NetworkAttribution{
-			EpochFrom: 3, EpochTo: 9,
 			Changed: []LinkChange{
 				{ID: 0, Name: "TEST->REMOTE", SRLG: 7, Disabled: false},
-				{ID: 4, Name: "TEST->LOCAL", SRLG: -1, Disabled: true, Added: true, CapacityChanged: true},
+				{ID: 4, Name: "TEST->LOCAL", SRLG: -1, Disabled: true},
 			},
 		},
 		Agents: []AgentIncident{
@@ -77,16 +76,26 @@ func TestEnvelopeRoundtrip(t *testing.T) {
 		t.Fatalf("encode→decode→encode not byte-identical:\nfirst  %s\nsecond %s", first, second)
 	}
 	// The same roundtrip must hold through the capture record framing, which
-	// is how the envelope travels inside the .cap file.
-	buf, err := new(recordlog.Encoder).Encode(&captureRecord{T: "env", Env: env})
-	if err != nil {
-		t.Fatal(err)
+	// is how the envelope — and the link records its network half is folded
+	// from — travel inside the .cap file.
+	link := &LinkEvent{At: at, ID: 4, Name: "TEST->LOCAL", SRLG: -1, Down: true}
+	var enc recordlog.Encoder
+	var buf []byte
+	for _, rec := range []captureRecord{{T: "link", Link: link}, {T: "env", Env: env}} {
+		b, err := enc.Encode(&rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf = append(buf, b...)
 	}
 	recs, valid, truncated := decodeCaptureStream(bytes.NewReader(buf))
-	if truncated || valid != int64(len(buf)) || len(recs) != 1 {
+	if truncated || valid != int64(len(buf)) || len(recs) != 2 {
 		t.Fatalf("framed roundtrip: %d records, valid=%d/%d, truncated=%v", len(recs), valid, len(buf), truncated)
 	}
-	third, err := json.Marshal(recs[0].Env)
+	if !jsonEqual(recs[0].Link, link) {
+		t.Fatalf("framed link record = %+v, want %+v", recs[0].Link, link)
+	}
+	third, err := json.Marshal(recs[1].Env)
 	if err != nil {
 		t.Fatal(err)
 	}

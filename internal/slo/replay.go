@@ -161,13 +161,19 @@ type ReplayResult struct {
 	Report *Report `json:"report,omitempty"`
 	// Alerts is the replayed alert transition sequence, in order.
 	Alerts []Transition `json:"alerts,omitempty"`
+	// Envelope is the attribution envelope recomputed from the capture's
+	// records (nil when the capture carries no env record). Its Capture
+	// stats are the recording's: they count records the file never
+	// received. Not part of the JSON summary.
+	Envelope *Envelope `json:"-"`
 }
 
 // Replay re-drives the capture through a real Engine on a virtual clock:
 // samples are fed back into a fresh flight recorder, each recorded
 // evaluation is re-run at its recorded timestamp, and the recomputed output
 // is compared byte-for-byte (via canonical JSON) against what the live run
-// wrote. Determinism holds because evaluation is a pure function of
+// wrote; so is the attribution envelope, rebuilt by the same fold the live
+// box used. Determinism holds because evaluation is a pure function of
 // (folded samples, clock) given the engine's sorted fold order; divergence
 // means the capture is damaged or the engine's math changed since.
 func (c *Capture) Replay() (*ReplayResult, error) {
@@ -198,6 +204,13 @@ func (c *Capture) Replay() (*ReplayResult, error) {
 			res.Divergence = fmt.Sprintf(format, args...)
 		}
 	}
+	// Records the live box withheld (byte budget, write failure) were folded
+	// live but never reached the file: say so before whatever they make
+	// diverge downstream.
+	if env := c.Envelope(); env != nil && env.Capture.DroppedRecords > 0 {
+		diverge("capture withheld %d records (byte budget or write failure)", env.Capture.DroppedRecords)
+	}
+	fold := newVerdictFold(c.Meta.LossTolerance)
 	for _, r := range c.records {
 		switch r.T {
 		case "samp":
@@ -206,12 +219,16 @@ func (c *Capture) Replay() (*ReplayResult, error) {
 				s.Record(sm)
 				res.Samples++
 			}
+			fold.samples(r.Samp.Key, r.Samp.Samples)
 			if r.Samp.Pre && r.Samp.Dropped > 0 {
 				res.TruncatedHistory = true
 				diverge("pre-arm history truncated: %d samples of %v lost before capture", r.Samp.Dropped, r.Samp.Key)
 			}
 		case "span":
 			res.Spans++
+			fold.span(*r.Span)
+		case "link":
+			fold.link(*r.Link)
 		case "eval":
 			e.mu.Lock()
 			trans := e.evaluateLocked(r.Eval.At)
@@ -230,6 +247,18 @@ func (c *Capture) Replay() (*ReplayResult, error) {
 			res.Report = got
 			if !jsonEqual(got, r.Rep) {
 				diverge("closing report at %s diverged", r.Rep.At.Format(time.RFC3339Nano))
+			}
+		case "env":
+			env := fold.envelope(c.Meta, res.Report)
+			env.Capture = r.Env.Capture
+			if len(fold.links) == 0 {
+				// Captures written before link records existed keep their
+				// recorded network half (DESIGN §12).
+				env.Network = r.Env.Network
+			}
+			res.Envelope = env
+			if !jsonEqual(env, r.Env) {
+				diverge("envelope diverged")
 			}
 		}
 	}

@@ -66,12 +66,6 @@ type Topology struct {
 	// writes through Link() pointers bypass it.
 	epoch atomic.Uint64
 
-	// journal records which links each epoch bump touched, so an incident's
-	// attribution envelope can name them (DeltaSince).
-	journalMu   sync.Mutex
-	journal     []journalEntry
-	journalBase uint64 // DeltaSince can answer for any since >= journalBase
-
 	// srlgIdx maps SRLG ID → index into SRLGs, for O(1) lookups in the
 	// per-scenario sampling hot path.
 	srlgIdx map[int]int
@@ -81,134 +75,6 @@ type Topology struct {
 // package API bumps it, so a cache entry computed at Epoch e is valid while
 // Epoch() still returns e on the same instance.
 func (t *Topology) Epoch() uint64 { return t.epoch.Load() }
-
-// --- Mutation journal -----------------------------------------------------
-
-// MutationKind classifies one journaled API mutation; Delta folds kinds into
-// sampling inputs vs capacities.
-type MutationKind uint8
-
-// Journaled mutation kinds.
-const (
-	MutationRegionAdd MutationKind = iota // new region, no links touched
-	MutationLinkAdd                       // new link (sampling + routing)
-	MutationCapacity                      // capacity change on existing link
-	MutationFailProb                      // independent failure prob change
-	MutationSRLGProb                      // SRLG cut prob change (touches members)
-	MutationDisable                       // administrative down/up toggle
-)
-
-// journalEntry is one epoch bump: the kind and the links it touched.
-type journalEntry struct {
-	epoch uint64
-	kind  MutationKind
-	links []int
-}
-
-// maxJournal bounds the journal; older entries are dropped and journalBase
-// advances, turning DeltaSince for pre-base epochs into "not covered" rather
-// than unbounded memory.
-const maxJournal = 4096
-
-// record journals one mutation under the epoch the bump just produced.
-func (t *Topology) record(kind MutationKind, links ...int) {
-	t.journalMu.Lock()
-	if len(t.journal) >= maxJournal {
-		drop := len(t.journal) / 2
-		t.journalBase = t.journal[drop-1].epoch
-		t.journal = append(t.journal[:0:0], t.journal[drop:]...)
-	}
-	t.journal = append(t.journal, journalEntry{epoch: t.epoch.Load(), kind: kind, links: links})
-	t.journalMu.Unlock()
-}
-
-// Delta summarizes every journaled mutation in the half-open epoch span
-// (From, To]: which links' failure-sampling inputs changed, which existing
-// links' capacities changed, which links are new, and whether regions were
-// added.
-type Delta struct {
-	From, To uint64
-	// AddedRegions reports region additions (no link is touched).
-	AddedRegions bool
-	// AddedLinks are links created in the span.
-	AddedLinks []int
-	// CapTouched are pre-existing links whose capacity changed.
-	CapTouched []int
-	// SampleTouched are pre-existing links whose failure-sampling inputs
-	// changed (FailProb, their SRLG's cut probability, or the Disabled
-	// flag).
-	SampleTouched []int
-}
-
-// Empty reports whether the span contained no effective mutations.
-func (d *Delta) Empty() bool {
-	return d == nil || (!d.AddedRegions && len(d.AddedLinks) == 0 &&
-		len(d.CapTouched) == 0 && len(d.SampleTouched) == 0)
-}
-
-// DeltaSince returns the merged mutation delta for the span (since, Epoch()].
-// ok is false when the journal no longer covers the span or since is ahead of
-// the current epoch.
-// An up-to-date since returns an empty delta with ok true.
-func (t *Topology) DeltaSince(since uint64) (*Delta, bool) {
-	now := t.epoch.Load()
-	if since > now {
-		return nil, false
-	}
-	t.journalMu.Lock()
-	defer t.journalMu.Unlock()
-	if since < t.journalBase {
-		return nil, false
-	}
-	d := &Delta{From: since, To: now}
-	if since == now {
-		return d, true
-	}
-	added := make(map[int]bool)
-	cap := make(map[int]bool)
-	sample := make(map[int]bool)
-	for _, e := range t.journal {
-		if e.epoch <= since {
-			continue
-		}
-		switch e.kind {
-		case MutationRegionAdd:
-			d.AddedRegions = true
-		case MutationLinkAdd:
-			for _, id := range e.links {
-				added[id] = true
-			}
-		case MutationCapacity:
-			for _, id := range e.links {
-				if !added[id] {
-					cap[id] = true
-				}
-			}
-		case MutationFailProb, MutationSRLGProb, MutationDisable:
-			for _, id := range e.links {
-				if !added[id] {
-					sample[id] = true
-				}
-			}
-		}
-	}
-	d.AddedLinks = sortedKeys(added)
-	d.CapTouched = sortedKeys(cap)
-	d.SampleTouched = sortedKeys(sample)
-	return d, true
-}
-
-func sortedKeys(m map[int]bool) []int {
-	if len(m) == 0 {
-		return nil
-	}
-	out := make([]int, 0, len(m))
-	for id := range m {
-		out = append(out, id)
-	}
-	sort.Ints(out)
-	return out
-}
 
 // Dense is a CSR-style view of the topology over dense region indexes: the
 // outgoing link IDs of region index r are OutLinks[OutStart[r]:OutStart[r+1]],
@@ -288,7 +154,6 @@ func (t *Topology) AddRegion(r Region) {
 	t.regionIdx[r] = len(t.Regions)
 	t.Regions = append(t.Regions, r)
 	t.invalidateDense()
-	t.record(MutationRegionAdd)
 }
 
 // HasRegion reports whether r is part of the topology.
@@ -327,7 +192,6 @@ func (t *Topology) AddLink(src, dst Region, capacity, failProb float64, srlg int
 	})
 	t.adjacency[src] = append(t.adjacency[src], id)
 	t.invalidateDense()
-	t.record(MutationLinkAdd, id)
 	if srlg >= 0 {
 		t.srlgByID(srlg).Members = append(t.srlgByID(srlg).Members, id)
 	}
@@ -349,13 +213,11 @@ func (t *Topology) AddBidirectional(a, b Region, capacity, failProb float64, srl
 }
 
 // EnsureSRLG registers an SRLG with the given cut probability and returns its
-// ID. Calling it again with the same ID updates the probability. The journal
-// records the group's current members: their failure sampling changed.
+// ID. Calling it again with the same ID updates the probability.
 func (t *Topology) EnsureSRLG(id int, cutProb float64) int {
 	g := t.srlgByID(id)
 	g.CutProb = cutProb
 	t.epoch.Add(1) // changes failure sampling, not the dense adjacency
-	t.record(MutationSRLGProb, append([]int(nil), g.Members...)...)
 	return g.ID
 }
 
@@ -372,22 +234,6 @@ func (t *Topology) srlgByID(id int) *SRLG {
 	t.srlgIdx[id] = len(t.SRLGs)
 	t.SRLGs = append(t.SRLGs, SRLG{ID: id})
 	return &t.SRLGs[len(t.SRLGs)-1]
-}
-
-// srlgOf returns the SRLG struct for ID id, or nil.
-func (t *Topology) srlgOf(id int) *SRLG {
-	if t.srlgIdx != nil {
-		if i, ok := t.srlgIdx[id]; ok {
-			return &t.SRLGs[i]
-		}
-		return nil
-	}
-	for i := range t.SRLGs {
-		if t.SRLGs[i].ID == id {
-			return &t.SRLGs[i]
-		}
-	}
-	return nil
 }
 
 // Outgoing returns the IDs of links leaving r.
@@ -654,9 +500,9 @@ func (t *Topology) RegionsSorted() []Region {
 }
 
 // Clone returns a deep copy of the topology; planners mutate clones when
-// evaluating candidate upgrades. The clone starts with a fresh epoch and an
-// empty mutation journal: caches keyed on (instance, epoch) treat it as a new
-// instance, never as a delta of the original.
+// evaluating candidate upgrades. The clone starts with a fresh epoch: caches
+// keyed on (instance, epoch) treat it as a new instance, never as a mutation
+// of the original.
 func (t *Topology) Clone() *Topology {
 	out := &Topology{
 		Regions:   append([]Region(nil), t.Regions...),
@@ -689,7 +535,6 @@ func (t *Topology) SetCapacity(linkID int, capacity float64) error {
 	}
 	t.Links[linkID].Capacity = capacity
 	t.epoch.Add(1) // changes allocation outcomes, not the dense adjacency
-	t.record(MutationCapacity, linkID)
 	return nil
 }
 
@@ -704,7 +549,6 @@ func (t *Topology) SetLinkFailProb(linkID int, p float64) error {
 	}
 	t.Links[linkID].FailProb = p
 	t.epoch.Add(1) // changes failure sampling, not the dense adjacency
-	t.record(MutationFailProb, linkID)
 	return nil
 }
 
@@ -721,6 +565,5 @@ func (t *Topology) SetLinkDisabled(linkID int, down bool) error {
 	}
 	t.Links[linkID].Disabled = down
 	t.epoch.Add(1) // changes failure sampling, not the dense adjacency
-	t.record(MutationDisable, linkID)
 	return nil
 }
