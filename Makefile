@@ -1,8 +1,8 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build vet vet-metrics vet-imports vet-schema vet-schema-update test race chaos crash slo replay trace wirecompat fuzz-smoke bench bench-build bench-smoke bench-regress bench-rebaseline cover figures examples grantd-demo
+.PHONY: all build vet vet-metrics vet-imports vet-dead vet-schema vet-schema-update test race chaos crash slo replay trace wirecompat fuzz-smoke bench bench-build bench-smoke bench-regress bench-rebaseline cover figures examples grantd-demo
 
-all: build vet vet-metrics vet-imports vet-schema bench-build test
+all: build vet vet-metrics vet-imports vet-dead vet-schema bench-build test
 
 # Every leg that picks tests by name goes through one of these, so a rename
 # fails the leg instead of turning it into a silent pass: `go test` exits 0
@@ -94,6 +94,15 @@ vet-metrics:
 # Guards the repo invariant that builds need no network and no vendoring.
 vet-imports:
 	$(call go_test_run,-count=1,TestVetStdlibImports,./internal/obs/)
+
+# Dead-export lint: fails when an exported package-level func, type, var,
+# non-iota const or method has no referrer outside _test.go files (bench/
+# included), when a metric var registered through obs.Register* is never used
+# by its own package's non-test code, or when an allow-list entry in
+# internal/obs/vet_dead_test.go no longer covers a dead declaration. The
+# fixture test proves it trips on each of the three.
+vet-dead:
+	$(call go_test_run,-count=1,TestVetDeadExports|TestVetDeadExportsFixture,./internal/obs/)
 
 # Schema compatibility gate: re-derives a fingerprint for every wire schema
 # from the live Go types and fails if any shape drifted from the committed

@@ -144,18 +144,12 @@ func run(regions, tail, days int, rateTbps, slo float64, scenarios, workers int,
 			return err
 		}
 		defer client.Close()
-		ids, traceID, err := client.SubmitGroupTrace(reqs)
+		var traceID string
+		decs, traceID, err = client.SubmitWait(reqs, 5*time.Minute)
 		if err != nil {
 			return err
 		}
 		fmt.Printf("submitted as trace %s (render: sloctl trace -addr <grantd -metrics-addr> %s)\n", traceID, traceID)
-		for _, id := range ids {
-			d, err := client.Decide(id, 5*time.Minute)
-			if err != nil {
-				return err
-			}
-			decs = append(decs, *d)
-		}
 	}
 
 	// Admittable fraction keeps the Figure-22 semantics: approved volume

@@ -12,7 +12,6 @@
 package approval
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -317,22 +316,6 @@ func Approve(topo *topology.Topology, hoses []hose.Request, opts Options) (*Resu
 	return result, nil
 }
 
-// SortRequests orders hose requests canonically — by key, then rate — in
-// place. Approve seeds its per-hose samplers by input index, so hose ORDER
-// (not just set membership) is part of an assessment's identity; callers
-// that assemble a batch from concurrently arriving submissions (the granting
-// service's admission queue) sort first so the same request set is decided
-// byte-identically no matter the arrival interleaving.
-func SortRequests(hoses []hose.Request) {
-	sort.SliceStable(hoses, func(i, j int) bool {
-		ki, kj := hoses[i].Key(), hoses[j].Key()
-		if ki != kj {
-			return ki < kj
-		}
-		return hoses[i].Rate < hoses[j].Rate
-	})
-}
-
 func sortedRegions(m map[topology.Region]float64) []topology.Region {
 	out := make([]topology.Region, 0, len(m))
 	for r := range m {
@@ -447,18 +430,4 @@ func Negotiate(res *Result) []CounterProposal {
 		out = append(out, cp)
 	}
 	return out
-}
-
-// ErrNoCapacity is a sentinel for callers that require full approval.
-var ErrNoCapacity = errors.New("approval: request cannot be fully approved")
-
-// RequireFull returns ErrNoCapacity unless every hose was fully approved.
-func (r *Result) RequireFull() error {
-	for i := range r.Approvals {
-		if !r.Approvals[i].FullyApproved {
-			return fmt.Errorf("%w: %s approved %.0f of %.0f", ErrNoCapacity,
-				r.Approvals[i].Request.Key(), r.Approvals[i].ApprovedRate, r.Approvals[i].Request.Rate)
-		}
-	}
-	return nil
 }

@@ -1,7 +1,6 @@
 package approval
 
 import (
-	"errors"
 	"math"
 	"testing"
 
@@ -60,9 +59,6 @@ func TestApproveSmallDemandFully(t *testing.T) {
 	if math.Abs(a.Fraction()-1) > 1e-6 {
 		t.Errorf("fraction = %v", a.Fraction())
 	}
-	if err := res.RequireFull(); err != nil {
-		t.Errorf("RequireFull = %v", err)
-	}
 }
 
 func TestApproveOversizedDemandPartially(t *testing.T) {
@@ -82,9 +78,6 @@ func TestApproveOversizedDemandPartially(t *testing.T) {
 	}
 	if a.ApprovedRate > 300+1e-6 {
 		t.Errorf("approved %v exceeds egress capacity 300", a.ApprovedRate)
-	}
-	if err := res.RequireFull(); !errors.Is(err, ErrNoCapacity) {
-		t.Errorf("RequireFull = %v, want ErrNoCapacity", err)
 	}
 }
 
@@ -365,32 +358,5 @@ func TestApproveJointFallsBackWithoutBothDirections(t *testing.T) {
 	}
 	if !res.Approvals[0].FullyApproved {
 		t.Errorf("fallback approval = %v", res.Approvals[0].ApprovedRate)
-	}
-}
-
-func TestSortRequestsCanonicalOrder(t *testing.T) {
-	// Approve seeds samplers by input index, so arrival order changes the
-	// assessment identity; SortRequests is the canonicalization the online
-	// admission queue relies on for byte-identical decisions.
-	hoses := []hose.Request{
-		{NPG: "Web", Class: contract.C2Low, Region: "B", Direction: contract.Egress, Rate: 30},
-		{NPG: "Ads", Class: contract.C3Low, Region: "A", Direction: contract.Ingress, Rate: 10},
-		{NPG: "Web", Class: contract.C2Low, Region: "B", Direction: contract.Egress, Rate: 20},
-		{NPG: "Ads", Class: contract.C2Low, Region: "A", Direction: contract.Egress, Rate: 50},
-	}
-	SortRequests(hoses)
-	for i := 1; i < len(hoses); i++ {
-		ki, kj := hoses[i-1].Key(), hoses[i].Key()
-		if ki > kj || (ki == kj && hoses[i-1].Rate > hoses[i].Rate) {
-			t.Fatalf("not canonical at %d: %s %v then %s %v", i, ki, hoses[i-1].Rate, kj, hoses[i].Rate)
-		}
-	}
-	// Idempotent: sorting a sorted slice changes nothing.
-	again := append([]hose.Request(nil), hoses...)
-	SortRequests(again)
-	for i := range hoses {
-		if again[i].Key() != hoses[i].Key() || again[i].Rate != hoses[i].Rate {
-			t.Fatalf("sort not idempotent at %d", i)
-		}
 	}
 }

@@ -212,10 +212,3 @@ func (p *Program) Stats() Stats {
 		Bytes:    p.bytes.Load(),
 	}
 }
-
-// ResetStats zeroes the counters.
-func (p *Program) ResetStats() {
-	p.matched.Store(0)
-	p.remarked.Store(0)
-	p.bytes.Store(0)
-}

@@ -168,17 +168,6 @@ func TestHostGroupStableAndSpread(t *testing.T) {
 	}
 }
 
-func TestResetStats(t *testing.T) {
-	m := NewMap()
-	m.Update(testKey(), Action{Mode: MarkFlows, NonConformGroups: NumGroups})
-	p := NewProgram(m)
-	p.Egress(testPacket("h", 1))
-	p.ResetStats()
-	if st := p.Stats(); st.Matched != 0 || st.Remarked != 0 || st.Bytes != 0 {
-		t.Errorf("Stats after reset = %+v", st)
-	}
-}
-
 func TestConcurrentEgressAndUpdates(t *testing.T) {
 	m := NewMap()
 	p := NewProgram(m)

@@ -254,38 +254,3 @@ func Accountability(entitledRate, actualRate float64, admitted bool) Party {
 	}
 	return NoBreach
 }
-
-// UptimeTracker measures achieved availability against a contract's SLO:
-// "the availability SLO measures the uptime percentage per class of
-// service, where uptime requires all traffic in that class of service to be
-// admitted in the network" (§1). Record one observation per measurement
-// interval.
-type UptimeTracker struct {
-	total int
-	up    int
-}
-
-// Record notes whether all in-entitlement traffic was admitted during the
-// interval.
-func (u *UptimeTracker) Record(admitted bool) {
-	u.total++
-	if admitted {
-		u.up++
-	}
-}
-
-// Intervals returns the number of recorded intervals.
-func (u *UptimeTracker) Intervals() int { return u.total }
-
-// Availability returns the measured uptime fraction (1 before any record).
-func (u *UptimeTracker) Availability() float64 {
-	if u.total == 0 {
-		return 1
-	}
-	return float64(u.up) / float64(u.total)
-}
-
-// Met reports whether the measured availability satisfies the SLO.
-func (u *UptimeTracker) Met(slo SLO) bool {
-	return u.Availability() >= float64(slo)
-}

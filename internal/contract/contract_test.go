@@ -229,29 +229,3 @@ func TestAccountabilityProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestUptimeTracker(t *testing.T) {
-	var u UptimeTracker
-	if u.Availability() != 1 {
-		t.Errorf("empty availability = %v, want 1", u.Availability())
-	}
-	if !u.Met(0.9999) {
-		t.Error("empty tracker should meet any SLO")
-	}
-	for i := 0; i < 9999; i++ {
-		u.Record(true)
-	}
-	u.Record(false)
-	if u.Intervals() != 10000 {
-		t.Errorf("Intervals = %d", u.Intervals())
-	}
-	if got := u.Availability(); got != 0.9999 {
-		t.Errorf("Availability = %v, want 0.9999", got)
-	}
-	if !u.Met(0.9999) {
-		t.Error("SLO 0.9999 should be met at exactly 0.9999")
-	}
-	if u.Met(0.99995) {
-		t.Error("SLO 0.99995 should not be met")
-	}
-}

@@ -469,34 +469,3 @@ func conformRateKey(npg, class, region, host string) string {
 func conformRatePrefix(npg, class, region string) string {
 	return fmt.Sprintf("conform/%s/%s/%s/", npg, class, region)
 }
-
-// --- Ingress metering (§8) -------------------------------------------------
-
-// IngressMeters translates an ingress entitlement at a destination into
-// per-source egress meters: "since metering can only be performed at the
-// source, we need to translate the ingress entitlement Hose for a
-// destination to a distributed set of meters at the sources". The
-// entitlement is divided among sources in proportion to their current
-// offered rates (sources with no traffic receive no share); when nothing is
-// offered the entitlement splits evenly.
-func IngressMeters(ingressEntitled float64, perSourceRate map[topology.Region]float64) map[topology.Region]float64 {
-	out := make(map[topology.Region]float64, len(perSourceRate))
-	if len(perSourceRate) == 0 || ingressEntitled <= 0 {
-		return out
-	}
-	total := 0.0
-	for _, r := range perSourceRate {
-		total += r
-	}
-	if total <= 0 {
-		per := ingressEntitled / float64(len(perSourceRate))
-		for src := range perSourceRate {
-			out[src] = per
-		}
-		return out
-	}
-	for src, r := range perSourceRate {
-		out[src] = ingressEntitled * r / total
-	}
-	return out
-}

@@ -44,8 +44,8 @@ func TestStatefulMeterConvergesOnConformRate(t *testing.T) {
 	if got := m.ConformRatio(5, 10, 5); math.Abs(got-0.5) > 1e-12 {
 		t.Errorf("steady ratio = %v, want 0.5", got)
 	}
-	if math.Abs(m.Prev()-0.5) > 1e-12 {
-		t.Errorf("Prev = %v", m.Prev())
+	if math.Abs(m.prev-0.5) > 1e-12 {
+		t.Errorf("Prev = %v", m.prev)
 	}
 }
 
@@ -94,15 +94,15 @@ func TestStatefulMeterNeverSticksAtZero(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		m.ConformRatio(1, 1e6, 1e6)
 	}
-	if m.Prev() <= 0 {
-		t.Fatalf("ratio collapsed to %v", m.Prev())
+	if m.prev <= 0 {
+		t.Fatalf("ratio collapsed to %v", m.prev)
 	}
 	// Recovery must still work.
 	for i := 0; i < 20; i++ {
 		m.ConformRatio(1e6, 1, 1)
 	}
-	if m.Prev() != 1 {
-		t.Errorf("ratio failed to recover: %v", m.Prev())
+	if m.prev != 1 {
+		t.Errorf("ratio failed to recover: %v", m.prev)
 	}
 }
 
@@ -110,8 +110,8 @@ func TestStatefulMeterReset(t *testing.T) {
 	m := NewStateful()
 	m.ConformRatio(5, 10, 10)
 	m.Reset()
-	if m.Prev() != 1 {
-		t.Errorf("Prev after reset = %v", m.Prev())
+	if m.prev != 1 {
+		t.Errorf("Prev after reset = %v", m.prev)
 	}
 }
 
@@ -404,6 +404,35 @@ func TestSimulateMarkingDefaults(t *testing.T) {
 	}
 }
 
+// FinalAverage returns the last running average of a simulation, or 0.
+func FinalAverage(points []MarkSimPoint) float64 {
+	if len(points) == 0 {
+		return 0
+	}
+	return points[len(points)-1].Average
+}
+
+// ConvergedBy reports whether the instantaneous conforming rate stays within
+// tol (relative) of target from iteration k onward.
+func ConvergedBy(points []MarkSimPoint, k int, target, tol float64) bool {
+	if k >= len(points) {
+		return false
+	}
+	for _, p := range points[k:] {
+		if target == 0 {
+			if p.ConformRate > tol {
+				return false
+			}
+			continue
+		}
+		rel := (p.ConformRate - target) / target
+		if rel < -tol || rel > tol {
+			return false
+		}
+	}
+	return true
+}
+
 func TestConvergedByEdgeCases(t *testing.T) {
 	if ConvergedBy(nil, 0, 1, 0.1) {
 		t.Error("empty points converged")
@@ -411,37 +440,6 @@ func TestConvergedByEdgeCases(t *testing.T) {
 	points := []MarkSimPoint{{ConformRate: 0}}
 	if !ConvergedBy(points, 0, 0, 0.1) {
 		t.Error("zero-target convergence failed")
-	}
-}
-
-// --- Ingress metering (§8) ---------------------------------------------------
-
-func TestIngressMetersProportional(t *testing.T) {
-	meters := IngressMeters(100, map[topology.Region]float64{"A": 30, "B": 70})
-	if math.Abs(meters["A"]-30) > 1e-9 || math.Abs(meters["B"]-70) > 1e-9 {
-		t.Errorf("meters = %v", meters)
-	}
-	// Sum conserves the entitlement.
-	if math.Abs(meters["A"]+meters["B"]-100) > 1e-9 {
-		t.Error("ingress meters do not sum to entitlement")
-	}
-}
-
-func TestIngressMetersIdleSources(t *testing.T) {
-	meters := IngressMeters(90, map[topology.Region]float64{"A": 0, "B": 0, "C": 0})
-	for _, r := range []topology.Region{"A", "B", "C"} {
-		if math.Abs(meters[r]-30) > 1e-9 {
-			t.Errorf("idle split %s = %v, want 30", r, meters[r])
-		}
-	}
-}
-
-func TestIngressMetersEmpty(t *testing.T) {
-	if got := IngressMeters(100, nil); len(got) != 0 {
-		t.Errorf("empty sources = %v", got)
-	}
-	if got := IngressMeters(0, map[topology.Region]float64{"A": 5}); len(got) != 0 {
-		t.Errorf("zero entitlement = %v", got)
 	}
 }
 
@@ -637,5 +635,54 @@ func TestMultiNPGHostSharesOneProgram(t *testing.T) {
 		DSCP: bpf.DSCPForClass(contract.ClassB)})
 	if bpf.IsNonConforming(coldPkt) {
 		t.Error("Cold packet remarked")
+	}
+}
+
+// TestRegionScopedEnforcement: one NPG runs hosts in two regions, and its
+// contract carries one egress entitlement per region. Only region A's is cut
+// below its demand, so only region A's flow set is marked: the agent must key
+// both the contract lookup and the rate aggregate by Region.
+func TestRegionScopedEnforcement(t *testing.T) {
+	db := contractdb.NewStore()
+	err := db.Put(contract.Contract{
+		NPG: "Svc", SLO: 0.999, Approved: true,
+		Entitlements: []contract.Entitlement{
+			{NPG: "Svc", Class: contract.ClassB, Region: "A", Direction: contract.Egress, Rate: 1e12, Start: tStart, End: tEnd},
+			{NPG: "Svc", Class: contract.ClassB, Region: "B", Direction: contract.Egress, Rate: 5e12, Start: tStart, End: tEnd},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rates := kvstore.New()
+	progs := map[topology.Region]*bpf.Program{}
+	agents := map[topology.Region]*Agent{}
+	for _, region := range []topology.Region{"A", "B"} {
+		progs[region] = bpf.NewProgram(bpf.NewMap())
+		a, err := NewAgent(AgentConfig{
+			Host: "h-" + string(region), NPG: "Svc", Class: contract.ClassB, Region: region,
+			DB: db, Rates: rates, Meter: NewStateful(), Prog: progs[region], Policy: HostBased,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		agents[region] = a
+	}
+	// Each region sends 3 Tbps: 3x over A's entitlement, within B's alone,
+	// but over B's if B also counted A's traffic.
+	now := tStart.Add(time.Hour)
+	for cycle := 0; cycle < 2; cycle++ {
+		for _, region := range []topology.Region{"A", "B"} {
+			if _, err := agents[region].Cycle(now, 3e12, 3e12); err != nil {
+				t.Fatal(err)
+			}
+		}
+		now = now.Add(time.Second)
+	}
+	for region, wantMarked := range map[topology.Region]bool{"A": true, "B": false} {
+		act, _ := progs[region].Actions.Lookup(bpf.MapKey{NPG: "Svc", Class: contract.ClassB, Region: region})
+		if marked := act.NonConformGroups > 0; marked != wantMarked {
+			t.Errorf("region %s: %d groups marked, want marked=%v", region, act.NonConformGroups, wantMarked)
+		}
 	}
 }

@@ -89,32 +89,3 @@ func SimulateMarking(opts MarkSimOptions) ([]MarkSimPoint, error) {
 	}
 	return points, nil
 }
-
-// FinalAverage returns the last running average of a simulation, or 0.
-func FinalAverage(points []MarkSimPoint) float64 {
-	if len(points) == 0 {
-		return 0
-	}
-	return points[len(points)-1].Average
-}
-
-// ConvergedBy reports whether the instantaneous conforming rate stays within
-// tol (relative) of target from iteration k onward.
-func ConvergedBy(points []MarkSimPoint, k int, target, tol float64) bool {
-	if k >= len(points) {
-		return false
-	}
-	for _, p := range points[k:] {
-		if target == 0 {
-			if p.ConformRate > tol {
-				return false
-			}
-			continue
-		}
-		rel := (p.ConformRate - target) / target
-		if rel < -tol || rel > tol {
-			return false
-		}
-	}
-	return true
-}

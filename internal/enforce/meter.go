@@ -3,8 +3,8 @@
 // traffic to remark (stateless Equations 4–5 and stateful Equations 6–7),
 // the remark policies deciding what to remark (flow-based vs host-based,
 // §5.3), the enforcement agent tying contract database, rate store, meter,
-// and BPF map together (Figure 9), the §7.4 marking-convergence simulation,
-// and the §8 ingress-metering extension.
+// and BPF map together (Figure 9), and the §7.4 marking-convergence
+// simulation.
 package enforce
 
 import "entitlement/internal/stats"
@@ -108,12 +108,4 @@ const minConformRatio = 1.0 / 1024
 func (m *Stateful) Reset() {
 	m.prev = 1
 	m.init = true
-}
-
-// Prev exposes the ratio carried to the next cycle (PrevConformRatio).
-func (m *Stateful) Prev() float64 {
-	if !m.init {
-		return 1
-	}
-	return m.prev
 }

@@ -1,8 +1,8 @@
 // Package flow implements the routing and admission engine the approval
-// pipeline runs on: Dinic max-flow, Dijkstra shortest paths and Yen
-// k-shortest paths over a (possibly failed) topology, and a priority-aware
-// multi-commodity progressive-filling allocator that determines how much of
-// each pipe demand the network can admit under a given failure state.
+// pipeline runs on: a priority-aware multi-commodity progressive-filling
+// allocator that routes each pipe demand by repeated Dijkstra over the
+// residual capacity of a (possibly failed) topology, and so determines how
+// much of each demand the network can admit under a given failure state.
 //
 // The allocator is the substitute for the LP-based engines Meta runs in
 // production: it routes each QoS class in strict priority order (c1 before
@@ -19,8 +19,6 @@
 package flow
 
 import (
-	"container/heap"
-	"encoding/binary"
 	"fmt"
 	"math"
 	"sort"
@@ -42,7 +40,6 @@ type Network struct {
 
 	dense *topology.Dense
 	sp    spScratch
-	mf    mfScratch
 }
 
 // NewNetwork creates a residual network with full link capacities for every
@@ -92,13 +89,6 @@ func (n *Network) Use(path []int, amount float64) {
 	}
 }
 
-// Release returns amount capacity along the path.
-func (n *Network) Release(path []int, amount float64) {
-	for _, id := range path {
-		n.residual[id] += amount
-	}
-}
-
 // PathBottleneck returns the minimum residual along the path.
 func (n *Network) PathBottleneck(path []int) float64 {
 	if len(path) == 0 {
@@ -128,10 +118,6 @@ type spScratch struct {
 
 	heap spHeap
 	path []int // last computed path, forward link IDs (reused)
-
-	// bannedRegion is epoch-stamped by banEpoch; used only by Yen spurs.
-	bannedRegion []uint64
-	banEpoch     uint64
 }
 
 func (s *spScratch) ensure(regions int) {
@@ -142,7 +128,6 @@ func (s *spScratch) ensure(regions int) {
 	s.prevLink = make([]int32, regions)
 	s.seen = make([]uint64, regions)
 	s.done = make([]uint64, regions)
-	s.bannedRegion = make([]uint64, regions)
 }
 
 // spNode is one heap entry: a region index at a tentative distance.
@@ -194,11 +179,10 @@ func (h *spHeap) pop() spNode {
 }
 
 // shortestPathDense runs Dijkstra from src to dst over dense region indexes,
-// excluding links with residual <= minResidual, links in bannedLinks (may be
-// nil), and — when useBanned is true — regions stamped in sp.bannedRegion
-// (except dst). On success the path is left in n.sp.path (valid until the
-// next shortest-path computation on this Network).
-func (n *Network) shortestPathDense(src, dst int32, minResidual float64, bannedLinks map[int]bool, useBanned bool) (metric float64, ok bool) {
+// using only links with residual capacity left. On success the path is left
+// in n.sp.path (valid until the next shortest-path computation on this
+// Network).
+func (n *Network) shortestPathDense(src, dst int32) (metric float64, ok bool) {
 	s := &n.sp
 	s.path = s.path[:0]
 	if src == dst {
@@ -226,16 +210,10 @@ func (n *Network) shortestPathDense(src, dst int32, minResidual float64, bannedL
 		}
 		du := s.dist[u]
 		for _, id := range d.OutLinks[d.OutStart[u]:d.OutStart[u+1]] {
-			if n.residual[id] <= minResidual {
-				continue
-			}
-			if bannedLinks != nil && bannedLinks[int(id)] {
+			if n.residual[id] <= 0 {
 				continue
 			}
 			to := d.DstIdx[id]
-			if useBanned && s.bannedRegion[to] == s.banEpoch && to != dst {
-				continue
-			}
 			nd := du + links[id].Metric
 			if s.seen[to] != s.epoch || nd < s.dist[to] {
 				s.dist[to] = nd
@@ -259,290 +237,6 @@ func (n *Network) shortestPathDense(src, dst int32, minResidual float64, bannedL
 		s.path[i], s.path[j] = s.path[j], s.path[i]
 	}
 	return s.dist[dst], true
-}
-
-// ShortestPath returns the minimum-metric path (as link IDs) from src to dst
-// over links with residual capacity strictly greater than minResidual, along
-// with its total metric. ok is false when dst is unreachable.
-//
-// bannedLinks and bannedRegions (either may be nil) are excluded; Yen's
-// algorithm uses them for spur-path computation.
-func (n *Network) ShortestPath(src, dst topology.Region, minResidual float64, bannedLinks map[int]bool, bannedRegions map[topology.Region]bool) (path []int, metric float64, ok bool) {
-	srcIdx := int32(n.Topo.RegionIndex(src))
-	dstIdx := int32(n.Topo.RegionIndex(dst))
-	if src == dst {
-		return nil, 0, true
-	}
-	useBanned := false
-	if len(bannedRegions) > 0 {
-		s := &n.sp
-		s.banEpoch++
-		for r := range bannedRegions {
-			if i := n.Topo.RegionIndex(r); i >= 0 {
-				s.bannedRegion[i] = s.banEpoch
-			}
-		}
-		useBanned = true
-	}
-	metric, ok = n.shortestPathDense(srcIdx, dstIdx, minResidual, bannedLinks, useBanned)
-	if !ok {
-		return nil, 0, false
-	}
-	return append([]int(nil), n.sp.path...), metric, true
-}
-
-// --- Yen k-shortest paths -------------------------------------------------
-
-// yenCandidate is a spur path awaiting promotion in Yen's algorithm.
-type yenCandidate struct {
-	path   []int
-	metric float64
-	seq    int // insertion sequence; preserves the old stable-sort order
-}
-
-// candHeap orders candidates by (metric, path length, insertion order) —
-// exactly the order the previous sort.SliceStable produced, at O(log n) per
-// promotion instead of a full re-sort per accepted path.
-type candHeap []yenCandidate
-
-func (h candHeap) Len() int { return len(h) }
-func (h candHeap) Less(i, j int) bool {
-	if h[i].metric != h[j].metric {
-		return h[i].metric < h[j].metric
-	}
-	if len(h[i].path) != len(h[j].path) {
-		return len(h[i].path) < len(h[j].path)
-	}
-	return h[i].seq < h[j].seq
-}
-func (h candHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *candHeap) Push(x interface{}) { *h = append(*h, x.(yenCandidate)) }
-func (h *candHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
-}
-
-// pathKey encodes a path as a compact string for the dedup set.
-func pathKey(p []int) string {
-	buf := make([]byte, 0, 8*len(p))
-	var tmp [binary.MaxVarintLen64]byte
-	for _, id := range p {
-		n := binary.PutUvarint(tmp[:], uint64(id))
-		buf = append(buf, tmp[:n]...)
-	}
-	return string(buf)
-}
-
-// KShortestPaths implements Yen's algorithm over the residual network,
-// returning up to k loopless paths from src to dst ordered by metric.
-// Candidates live in a min-heap keyed (metric, length, insertion order) with
-// a dedup set, replacing the former full re-sort per accepted path.
-func (n *Network) KShortestPaths(src, dst topology.Region, k int) [][]int {
-	if k <= 0 {
-		return nil
-	}
-	first, _, ok := n.ShortestPath(src, dst, 0, nil, nil)
-	if !ok {
-		return nil
-	}
-	paths := [][]int{first}
-	seen := map[string]bool{pathKey(first): true}
-	candidates := &candHeap{}
-	seq := 0
-	for len(paths) < k {
-		last := paths[len(paths)-1]
-		// Spur from each node of the previous path.
-		for i := 0; i <= len(last)-1; i++ {
-			rootPath := last[:i]
-			spurNode := src
-			if i > 0 {
-				spurNode = n.Topo.Link(last[i-1]).Dst
-			}
-			banned := make(map[int]bool)
-			for _, p := range paths {
-				if len(p) > i && pathEqual(p[:i], rootPath) {
-					banned[p[i]] = true
-				}
-			}
-			bannedRegions := make(map[topology.Region]bool)
-			at := src
-			for _, id := range rootPath {
-				bannedRegions[at] = true
-				at = n.Topo.Link(id).Dst
-			}
-			spur, _, ok := n.ShortestPath(spurNode, dst, 0, banned, bannedRegions)
-			if !ok {
-				continue
-			}
-			total := append(append([]int{}, rootPath...), spur...)
-			key := pathKey(total)
-			if seen[key] {
-				continue
-			}
-			seen[key] = true
-			heap.Push(candidates, yenCandidate{path: total, metric: n.pathMetric(total), seq: seq})
-			seq++
-		}
-		if candidates.Len() == 0 {
-			break
-		}
-		best := heap.Pop(candidates).(yenCandidate)
-		paths = append(paths, best.path)
-	}
-	return paths
-}
-
-func (n *Network) pathMetric(path []int) float64 {
-	m := 0.0
-	for _, id := range path {
-		m += n.Topo.Link(id).Metric
-	}
-	return m
-}
-
-func pathEqual(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// --- Dinic max-flow over dense indexes ------------------------------------
-
-// mfScratch is the reusable Dinic state: paired arcs (forward arc 2k,
-// reverse 2k+1, so rev(a) == a^1) grouped into a per-region CSR, plus BFS
-// level and DFS iterator arrays.
-type mfScratch struct {
-	arcTo  []int32
-	arcCap []float64
-	start  []int32 // CSR offsets over arcs by tail region; len regions+1
-	arcIdx []int32 // arc indexes grouped by tail region
-	level  []int32
-	iter   []int32
-	queue  []int32
-}
-
-// MaxFlow computes the maximum src→dst flow over the residual network using
-// Dinic's algorithm. The network's residual capacities are not modified.
-func (n *Network) MaxFlow(src, dst topology.Region) float64 {
-	if src == dst {
-		return math.Inf(1)
-	}
-	srcIdx := int32(n.Topo.RegionIndex(src))
-	dstIdx := int32(n.Topo.RegionIndex(dst))
-	if srcIdx < 0 || dstIdx < 0 {
-		return 0
-	}
-	d := n.dense
-	regions := n.Topo.NumRegions()
-	m := &n.mf
-
-	// Build paired arcs for links with spare residual.
-	m.arcTo = m.arcTo[:0]
-	m.arcCap = m.arcCap[:0]
-	for i := range n.residual {
-		if n.residual[i] > 0 {
-			m.arcTo = append(m.arcTo, d.DstIdx[i], d.SrcIdx[i])
-			m.arcCap = append(m.arcCap, n.residual[i], 0)
-		}
-	}
-	nArcs := len(m.arcTo)
-	// CSR over arcs by tail region.
-	if cap(m.start) < regions+1 {
-		m.start = make([]int32, regions+1)
-		m.level = make([]int32, regions)
-		m.iter = make([]int32, regions)
-		m.queue = make([]int32, 0, regions)
-	}
-	m.start = m.start[:regions+1]
-	m.level = m.level[:regions]
-	m.iter = m.iter[:regions]
-	for i := range m.start {
-		m.start[i] = 0
-	}
-	tail := func(a int) int32 {
-		// Arc a's tail is the head of its pair.
-		return m.arcTo[a^1]
-	}
-	for a := 0; a < nArcs; a++ {
-		m.start[tail(a)+1]++
-	}
-	for r := 0; r < regions; r++ {
-		m.start[r+1] += m.start[r]
-	}
-	if cap(m.arcIdx) < nArcs {
-		m.arcIdx = make([]int32, nArcs)
-	}
-	m.arcIdx = m.arcIdx[:nArcs]
-	fill := append([]int32(nil), m.start[:regions]...)
-	for a := 0; a < nArcs; a++ {
-		t := tail(a)
-		m.arcIdx[fill[t]] = int32(a)
-		fill[t]++
-	}
-
-	bfs := func() bool {
-		for i := range m.level {
-			m.level[i] = -1
-		}
-		m.queue = m.queue[:0]
-		m.queue = append(m.queue, srcIdx)
-		m.level[srcIdx] = 0
-		for qi := 0; qi < len(m.queue); qi++ {
-			u := m.queue[qi]
-			for _, a := range m.arcIdx[m.start[u]:m.start[u+1]] {
-				if m.arcCap[a] > 1e-9 {
-					to := m.arcTo[a]
-					if m.level[to] < 0 {
-						m.level[to] = m.level[u] + 1
-						m.queue = append(m.queue, to)
-					}
-				}
-			}
-		}
-		return m.level[dstIdx] >= 0
-	}
-	var dfs func(u int32, f float64) float64
-	dfs = func(u int32, f float64) float64 {
-		if u == dstIdx {
-			return f
-		}
-		for ; m.iter[u] < m.start[u+1]-m.start[u]; m.iter[u]++ {
-			a := m.arcIdx[m.start[u]+m.iter[u]]
-			to := m.arcTo[a]
-			if m.arcCap[a] > 1e-9 && m.level[to] == m.level[u]+1 {
-				dd := dfs(to, math.Min(f, m.arcCap[a]))
-				if dd > 1e-9 {
-					m.arcCap[a] -= dd
-					m.arcCap[a^1] += dd
-					return dd
-				}
-			}
-		}
-		return 0
-	}
-	total := 0.0
-	for bfs() {
-		for i := range m.iter {
-			m.iter[i] = 0
-		}
-		for {
-			f := dfs(srcIdx, math.Inf(1))
-			if f <= 1e-9 {
-				break
-			}
-			total += f
-		}
-	}
-	return total
 }
 
 // --- Multi-commodity allocator --------------------------------------------
@@ -583,7 +277,7 @@ type AllocateOptions struct {
 
 // pathCache remembers a demand's last shortest path within one allocation.
 // Because link metrics are static and links only leave the residual graph as
-// they saturate (Release is never called mid-allocation), a cached path
+// they saturate (capacity is never returned mid-allocation), a cached path
 // whose links all retain residual capacity is still a shortest path — so
 // Dijkstra re-runs only when the cached path loses a link.
 type pathCache struct {
@@ -749,7 +443,7 @@ func (r *Runner) pushDemand(di int, want, maxPathLen float64) float64 {
 			}
 		}
 		if !c.valid {
-			metric, ok := n.shortestPathDense(c.src, c.dst, 0, nil, false)
+			metric, ok := n.shortestPathDense(c.src, c.dst)
 			if !ok || len(n.sp.path) == 0 {
 				break
 			}
@@ -778,7 +472,7 @@ func Allocate(t *topology.Topology, state *topology.FailureState, demands []Dema
 }
 
 // RunnerPool recycles Runners over one topology across successive risk
-// passes, so a long-running granting service does not rebuild Dijkstra/Dinic
+// passes, so a long-running granting service does not rebuild Dijkstra
 // scratch and residual arrays for every admission decision. Allocate fully
 // resets a Runner's state per call, so a recycled Runner produces
 // byte-identical allocations to a fresh one.
@@ -832,11 +526,4 @@ func (p *RunnerPool) Put(r *Runner) {
 		p.free = append(p.free, r)
 	}
 	p.mu.Unlock()
-}
-
-// Idle reports the current free-list size (for tests and stats).
-func (p *RunnerPool) Idle() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.free)
 }

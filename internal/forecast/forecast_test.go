@@ -27,7 +27,7 @@ func TestFitProphetRecoverLinearTrend(t *testing.T) {
 		t.Fatal(err)
 	}
 	// In-sample fit is tight.
-	fitted := m.Fitted()
+	fitted := fitted(m)
 	smape, _ := stats.SMAPE(vals, fitted.Values)
 	if smape > 0.02 {
 		t.Errorf("in-sample sMAPE = %v", smape)
@@ -75,7 +75,7 @@ func TestFitProphetChangepoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fitted := m.Fitted()
+	fitted := fitted(m)
 	smape, _ := stats.SMAPE(vals[1:], fitted.Values[1:])
 	if smape > 0.05 {
 		t.Errorf("changepoint fit sMAPE = %v", smape)
@@ -413,64 +413,23 @@ func TestEvaluateAccuracyErrors(t *testing.T) {
 	}
 }
 
-func TestBacktest(t *testing.T) {
-	vals := make([]float64, 200)
+// fitted returns the model's in-sample fit.
+func fitted(m *Prophet) *timeseries.Series {
+	vals := make([]float64, m.n)
 	for i := range vals {
-		vals[i] = 1000 + 3*float64(i) + 50*math.Sin(2*math.Pi*float64(i)/7)
+		vals[i] = m.PredictAt(i)
 	}
-	scores, err := Backtest(dailySeries(vals), 4, 14, ProphetOptions{Changepoints: 3, WeeklyOrder: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(scores) != 4 {
-		t.Fatalf("folds = %d", len(scores))
-	}
-	for i, s := range scores {
-		if s < 0 || s > 0.2 {
-			t.Errorf("fold %d sMAPE = %v on a clean series", i, s)
-		}
-	}
+	return timeseries.New(m.start, m.step, vals)
 }
 
-func TestBacktestValidation(t *testing.T) {
-	s := dailySeries(make([]float64, 50))
-	if _, err := Backtest(s, 0, 10, ProphetOptions{}); err == nil {
-		t.Error("zero folds accepted")
+// Trend returns the trend component (intercept + slope + changepoints) at
+// sample index i, excluding seasonality and holidays.
+func (m *Prophet) Trend(i int) float64 {
+	row := m.features(i)
+	nTrend := 2 + len(m.changepoints)
+	s := 0.0
+	for j := 0; j < nTrend; j++ {
+		s += row[j] * m.weights[j]
 	}
-	if _, err := Backtest(s, 10, 30, ProphetOptions{}); err == nil {
-		t.Error("oversized folds accepted")
-	}
-}
-
-func TestClampGrowth(t *testing.T) {
-	r := &Result{Monthly: [3]float64{50, 400, 90}, Quarter: 400}
-	// Last actual 100; owner expects between 0% and 10% monthly growth.
-	r.ClampGrowth(100, 0, 0.10)
-	// Month 1: [100, 110] — 50 clamped up to 100.
-	if r.Monthly[0] != 100 {
-		t.Errorf("month 1 = %v, want 100", r.Monthly[0])
-	}
-	// Month 2: [100, 121] — 400 clamped down to 121.
-	if math.Abs(r.Monthly[1]-121) > 1e-9 {
-		t.Errorf("month 2 = %v, want 121", r.Monthly[1])
-	}
-	// Month 3: [100, 133.1] — 90 clamped up to 100.
-	if r.Monthly[2] != 100 {
-		t.Errorf("month 3 = %v, want 100", r.Monthly[2])
-	}
-	if math.Abs(r.Quarter-121) > 1e-9 {
-		t.Errorf("quarter = %v, want 121", r.Quarter)
-	}
-}
-
-func TestClampGrowthNoOpOnBadInputs(t *testing.T) {
-	r := &Result{Monthly: [3]float64{1, 2, 3}, Quarter: 3}
-	r.ClampGrowth(0, 0, 1) // zero lastActual: untouched
-	if r.Monthly != [3]float64{1, 2, 3} {
-		t.Errorf("clamp with zero actual changed result: %v", r.Monthly)
-	}
-	r.ClampGrowth(10, 0.5, 0.1) // min > max: untouched
-	if r.Monthly != [3]float64{1, 2, 3} {
-		t.Errorf("inverted bounds changed result: %v", r.Monthly)
-	}
+	return s*m.yStd + m.yMean
 }

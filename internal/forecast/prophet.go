@@ -179,27 +179,6 @@ func (m *Prophet) Forecast(horizon int) *timeseries.Series {
 	return timeseries.New(m.start.Add(time.Duration(m.n)*m.step), m.step, vals)
 }
 
-// Fitted returns the in-sample fit.
-func (m *Prophet) Fitted() *timeseries.Series {
-	vals := make([]float64, m.n)
-	for i := range vals {
-		vals[i] = m.PredictAt(i)
-	}
-	return timeseries.New(m.start, m.step, vals)
-}
-
-// Trend returns the trend component (intercept + slope + changepoints) at
-// sample index i, excluding seasonality and holidays.
-func (m *Prophet) Trend(i int) float64 {
-	row := m.features(i)
-	nTrend := 2 + len(m.changepoints)
-	s := 0.0
-	for j := 0; j < nTrend; j++ {
-		s += row[j] * m.weights[j]
-	}
-	return s*m.yStd + m.yMean
-}
-
 func maxInt(a, b int) int {
 	if a > b {
 		return a

@@ -147,32 +147,3 @@ func EvaluateAccuracy(raw *timeseries.Series, testDays int, opts ProphetOptions)
 	acc.P50, acc.P75, acc.P90 = scores[0], scores[1], scores[2]
 	return acc, nil
 }
-
-// ClampGrowth applies service-owner growth expectations to the forecast —
-// the §4.1 Scribe refinement where reads are adjusted with "minimum and
-// maximum growth expectations provided by the services". Each month m
-// (1-based) is bounded to
-//
-//	lastActual × (1+minMonthlyGrowth)^m  ...  lastActual × (1+maxMonthlyGrowth)^m
-//
-// and the quarter demand is recomputed.
-func (r *Result) ClampGrowth(lastActual, minMonthlyGrowth, maxMonthlyGrowth float64) {
-	if lastActual <= 0 || minMonthlyGrowth > maxMonthlyGrowth {
-		return
-	}
-	r.Quarter = 0
-	lo, hi := lastActual, lastActual
-	for m := 0; m < 3; m++ {
-		lo *= 1 + minMonthlyGrowth
-		hi *= 1 + maxMonthlyGrowth
-		if r.Monthly[m] < lo {
-			r.Monthly[m] = lo
-		}
-		if r.Monthly[m] > hi {
-			r.Monthly[m] = hi
-		}
-		if r.Monthly[m] > r.Quarter {
-			r.Quarter = r.Monthly[m]
-		}
-	}
-}

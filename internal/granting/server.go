@@ -218,27 +218,36 @@ func (c *Client) Decide(id string, timeout time.Duration) (*Decision, error) {
 	}
 }
 
-// SubmitWait submits one request and blocks for its decision. When the
-// server sheds the submission under overload it honors the retry-after
-// hint, backing off and resubmitting until the timeout budget runs out;
-// the last overload error is returned if the queue never opens up.
-func (c *Client) SubmitWait(req Request, timeout time.Duration) (*Decision, error) {
+// SubmitWait submits an atomic group and blocks for its decisions, returned
+// in request order with the submission's trace ID. When the server sheds the
+// submission under overload it honors the retry-after hint, backing off and
+// resubmitting until the timeout budget runs out; the last overload error is
+// returned if the queue never opens up. Any other error returns at once.
+func (c *Client) SubmitWait(reqs []Request, timeout time.Duration) ([]Decision, string, error) {
 	deadline := time.Now().Add(timeout)
 	for {
-		id, err := c.Submit(req)
+		ids, traceID, err := c.SubmitGroupTrace(reqs)
 		if err == nil {
-			return c.Decide(id, time.Until(deadline))
+			decs := make([]Decision, 0, len(ids))
+			for _, id := range ids {
+				d, err := c.Decide(id, time.Until(deadline))
+				if err != nil {
+					return nil, traceID, err
+				}
+				decs = append(decs, *d)
+			}
+			return decs, traceID, nil
 		}
 		var oe *wire.OverloadedError
 		if !errors.As(err, &oe) {
-			return nil, err
+			return nil, "", err
 		}
 		pause := oe.RetryAfter
 		if pause <= 0 {
 			pause = 100 * time.Millisecond
 		}
 		if time.Until(deadline) < pause {
-			return nil, err
+			return nil, "", err
 		}
 		time.Sleep(pause)
 	}

@@ -68,7 +68,7 @@ func serverRoundTrip(t *testing.T, codec wire.Codec) []*Decision {
 	var decisions []*Decision
 
 	// Submit + Decide: a negotiable ask lands a contract.
-	dec, err := client.SubmitWait(Request{
+	dec, err := submitOne(client, Request{
 		NPG: "Web", Negotiate: true, StartUnix: testStart.Unix(),
 		Hoses: []hose.Request{{Class: contract.C2Low, Region: "A", Direction: contract.Egress, Rate: 40e9}},
 	}, time.Minute)
@@ -95,7 +95,7 @@ func serverRoundTrip(t *testing.T, codec wire.Codec) []*Decision {
 	}
 
 	// An oversubscribed ask over the wire: rejection with a proposal.
-	dec, err = client.SubmitWait(Request{
+	dec, err = submitOne(client, Request{
 		NPG: "Greedy", StartUnix: testStart.Unix(),
 		Hoses: []hose.Request{{Class: contract.C3Low, Region: "B", Direction: contract.Egress, Rate: 9e12}},
 	}, time.Minute)
@@ -167,4 +167,79 @@ func serverRoundTrip(t *testing.T, codec wire.Codec) []*Decision {
 		t.Errorf("connection unusable after rejections: status = %s, %v", state, err)
 	}
 	return decisions
+}
+
+// submitOne submits one request through SubmitWait and returns its decision.
+func submitOne(c *Client, req Request, timeout time.Duration) (*Decision, error) {
+	decs, _, err := c.SubmitWait([]Request{req}, timeout)
+	if err != nil {
+		return nil, err
+	}
+	return &decs[0], nil
+}
+
+// TestSubmitWaitHonorsShedHint: with the decider parked and the one queue
+// slot taken, a group submitted through SubmitWait is shed, waits out the
+// retry-after hint and is decided once the queue drains; a remote error is
+// not retried and returns at once.
+func TestSubmitWaitHonorsShedHint(t *testing.T) {
+	sink := newBlockingSink()
+	opts := testOptions(0)
+	opts.MaxQueue = 1
+	opts.ShedRetryAfter = 20 * time.Millisecond
+	svc := NewService(topology.FigureSix(), sink, opts)
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(l, svc)
+	defer func() {
+		srv.Close()
+		svc.Close()
+	}()
+	if _, err := svc.Submit(approvable(0)); err != nil {
+		t.Fatal(err)
+	}
+	<-sink.entered
+	if _, err := svc.Submit(approvable(1)); err != nil {
+		t.Fatal(err)
+	}
+	client, err := Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+
+	type result struct {
+		decs []Decision
+		err  error
+	}
+	done := make(chan result, 1)
+	go func() {
+		decs, _, err := client.SubmitWait([]Request{approvable(2)}, time.Minute)
+		done <- result{decs, err}
+	}()
+	for deadline := time.Now().Add(10 * time.Second); svc.Stats().Shed == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			close(sink.release)
+			t.Fatal("the group was never shed")
+		}
+	}
+	close(sink.release)
+	r := <-done
+	if r.err != nil {
+		t.Fatalf("SubmitWait after the shed hint: %v", r.err)
+	}
+	if len(r.decs) != 1 || r.decs[0].NPG != "Web2" || r.decs[0].Status != StatusApproved {
+		t.Fatalf("decisions = %+v, want Web2 approved", r.decs)
+	}
+
+	start := time.Now()
+	var re *wire.RemoteError
+	if _, _, err := client.SubmitWait([]Request{{}}, time.Minute); !errors.As(err, &re) {
+		t.Fatalf("invalid request: %v, want RemoteError", err)
+	}
+	if waited := time.Since(start); waited > 5*time.Second {
+		t.Errorf("remote error returned after %v, want at once", waited)
+	}
 }

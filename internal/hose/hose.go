@@ -436,24 +436,6 @@ func (s *Sampler) draw(scale float64) TM {
 	return tm
 }
 
-// Coverage returns the fraction of the sample TMs dominated by at least one
-// representative — the §7.2 "hose coverage" metric.
-func Coverage(representatives, samples []TM) float64 {
-	if len(samples) == 0 {
-		return 0
-	}
-	covered := 0
-	for _, s := range samples {
-		for _, r := range representatives {
-			if r.Dominates(s) {
-				covered++
-				break
-			}
-		}
-	}
-	return float64(covered) / float64(len(samples))
-}
-
 // TMsForCoverage draws representatives one at a time until the running set
 // covers at least target of the sample set, returning the count used (or
 // maxTMs if the target was never reached). This implements the Figure 20
@@ -490,14 +472,7 @@ const DummyNPG contract.NPG = "dummy-balance"
 // service and is evenly attributed to all regions", §8). The input is not
 // modified; the balanced slice is returned.
 func BalanceHoses(hoses []Request, regions []topology.Region, class contract.Class) []Request {
-	var egress, ingress float64
-	for _, h := range hoses {
-		if h.Direction == contract.Egress {
-			egress += h.Rate
-		} else {
-			ingress += h.Rate
-		}
-	}
+	egress, ingress := totalByDirection(hoses)
 	out := make([]Request, len(hoses))
 	copy(out, hoses)
 	delta := egress - ingress
@@ -517,8 +492,8 @@ func BalanceHoses(hoses []Request, regions []topology.Region, class contract.Cla
 	return out
 }
 
-// TotalByDirection sums hose rates per direction.
-func TotalByDirection(hoses []Request) (egress, ingress float64) {
+// totalByDirection sums hose rates per direction.
+func totalByDirection(hoses []Request) (egress, ingress float64) {
 	for _, h := range hoses {
 		if h.Direction == contract.Egress {
 			egress += h.Rate
@@ -527,61 +502,4 @@ func TotalByDirection(hoses []Request) (egress, ingress float64) {
 		}
 	}
 	return egress, ingress
-}
-
-// SelectRepresentatives greedily picks at most k TMs from the candidate pool
-// to maximize coverage of the sample set — the job of the demand-generation
-// service the approval pipeline calls ("narrow down infinite possible Pipe
-// realizations into a small set of representative ones, which still covers a
-// significant portion of the Hose polytope", §4.3 / [1]). Each round adds
-// the candidate dominating the most still-uncovered samples; selection stops
-// early once everything coverable is covered.
-func SelectRepresentatives(candidates, samples []TM, k int) []TM {
-	if k <= 0 || len(candidates) == 0 {
-		return nil
-	}
-	covered := make([]bool, len(samples))
-	used := make([]bool, len(candidates))
-	// Precompute domination bitsets lazily per candidate row.
-	dominates := make([][]bool, len(candidates))
-	domRow := func(ci int) []bool {
-		if dominates[ci] == nil {
-			row := make([]bool, len(samples))
-			for si := range samples {
-				row[si] = candidates[ci].Dominates(samples[si])
-			}
-			dominates[ci] = row
-		}
-		return dominates[ci]
-	}
-	var out []TM
-	for len(out) < k {
-		bestGain, bestIdx := 0, -1
-		for ci := range candidates {
-			if used[ci] {
-				continue
-			}
-			row := domRow(ci)
-			gain := 0
-			for si := range samples {
-				if !covered[si] && row[si] {
-					gain++
-				}
-			}
-			if gain > bestGain {
-				bestGain, bestIdx = gain, ci
-			}
-		}
-		if bestIdx < 0 {
-			break // nothing adds coverage
-		}
-		used[bestIdx] = true
-		out = append(out, candidates[bestIdx])
-		for si, d := range dominates[bestIdx] {
-			if d {
-				covered[si] = true
-			}
-		}
-	}
-	return out
 }

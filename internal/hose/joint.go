@@ -32,24 +32,6 @@ type FullTM struct {
 // Rate returns f(src, dst) (0 when absent).
 func (tm FullTM) Rate(src, dst topology.Region) float64 { return tm.Rates[src][dst] }
 
-// EgressSum returns the row sum for src.
-func (tm FullTM) EgressSum(src topology.Region) float64 {
-	s := 0.0
-	for _, v := range tm.Rates[src] {
-		s += v
-	}
-	return s
-}
-
-// IngressSum returns the column sum for dst.
-func (tm FullTM) IngressSum(dst topology.Region) float64 {
-	s := 0.0
-	for _, row := range tm.Rates {
-		s += row[dst]
-	}
-	return s
-}
-
 // Pipes flattens the matrix into pipe requests for the given flow set.
 func (tm FullTM) Pipes(npg contract.NPG, class contract.Class) []PipeRequest {
 	var srcs []topology.Region

@@ -236,3 +236,21 @@ func TestJointSamplerFeasibilityProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// EgressSum returns the row sum for src.
+func (tm FullTM) EgressSum(src topology.Region) float64 {
+	s := 0.0
+	for _, v := range tm.Rates[src] {
+		s += v
+	}
+	return s
+}
+
+// IngressSum returns the column sum for dst.
+func (tm FullTM) IngressSum(dst topology.Region) float64 {
+	s := 0.0
+	for _, row := range tm.Rates {
+		s += row[dst]
+	}
+	return s
+}

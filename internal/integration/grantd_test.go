@@ -109,7 +109,7 @@ func TestGrantdOnlinePipeline(t *testing.T) {
 	}
 
 	// Submit the contract request through grantd.
-	dec, err := client.SubmitWait(granting.Request{
+	dec, err := submitOne(client, granting.Request{
 		NPG: "Web", Negotiate: true, StartUnix: periodStart.Unix(),
 		Hoses: []hose.Request{{
 			Class: contract.C2Low, Region: "A",
@@ -149,7 +149,7 @@ func TestGrantdOnlinePipeline(t *testing.T) {
 
 	// An oversubscribed ask bounces with a counter-proposal and stores
 	// nothing.
-	dec, err = client.SubmitWait(granting.Request{
+	dec, err = submitOne(client, granting.Request{
 		NPG: "Greedy", StartUnix: periodStart.Unix(),
 		Hoses: []hose.Request{{
 			Class: contract.C3Low, Region: "B",
@@ -175,7 +175,7 @@ func TestGrantdOnlinePipeline(t *testing.T) {
 
 	// Opting into negotiation turns the same shortfall into a grant at the
 	// admittable volume, which agents would pick up just the same.
-	dec, err = client.SubmitWait(granting.Request{
+	dec, err = submitOne(client, granting.Request{
 		NPG: "Greedy", Negotiate: true, StartUnix: periodStart.Unix(),
 		Hoses: []hose.Request{{
 			Class: contract.C3Low, Region: "B",
@@ -195,4 +195,13 @@ func TestGrantdOnlinePipeline(t *testing.T) {
 	if got := c.Entitlements[0].Rate; got >= 100e12 || got <= 0 {
 		t.Errorf("negotiated rate %v not the admittable volume", got)
 	}
+}
+
+// submitOne submits one request through SubmitWait and returns its decision.
+func submitOne(c *granting.Client, req granting.Request, timeout time.Duration) (*granting.Decision, error) {
+	decs, _, err := c.SubmitWait([]granting.Request{req}, timeout)
+	if err != nil {
+		return nil, err
+	}
+	return &decs[0], nil
 }

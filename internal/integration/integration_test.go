@@ -229,66 +229,3 @@ func TestGrantedContractDrivesDrillOutcome(t *testing.T) {
 		}
 	}
 }
-
-func TestIngressMeteringEndToEndOverTCP(t *testing.T) {
-	// §8 ingress metering across real sockets: coordinator at the
-	// destination, offers from source regions.
-	db := contractdb.NewStore()
-	err := db.Put(contract.Contract{
-		NPG: "Sink", SLO: 0.999, Approved: true,
-		Entitlements: []contract.Entitlement{{
-			NPG: "Sink", Class: contract.ClassB, Region: "D",
-			Direction: contract.Ingress, Rate: 100e9,
-			Start: periodStart, End: periodStart.Add(90 * 24 * time.Hour),
-		}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	kvL, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	kvSrv := kvstore.NewServer(kvL, kvstore.New())
-	defer kvSrv.Close()
-
-	coordKV, err := kvstore.Dial(kvSrv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coordKV.Close()
-	coord, err := enforce.NewIngressCoordinator(db, coordKV, "Sink", contract.ClassB, "D",
-		[]topology.Region{"A", "B"})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	srcKV, err := kvstore.Dial(kvSrv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srcKV.Close()
-	// Source regions publish offers over their own connections.
-	if err := enforce.PublishIngressOffer(srcKV, "Sink", contract.ClassB, "D", "A", 150e9, time.Minute); err != nil {
-		t.Fatal(err)
-	}
-	if err := enforce.PublishIngressOffer(srcKV, "Sink", contract.ClassB, "D", "B", 50e9, time.Minute); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := coord.Cycle(periodStart.Add(time.Hour))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Enforced {
-		t.Fatal("ingress entitlement not enforced")
-	}
-	// Sources read their meters remotely: 75G and 25G.
-	a, ok, err := enforce.FetchIngressMeter(srcKV, "Sink", contract.ClassB, "D", "A")
-	if err != nil || !ok || math.Abs(a-75e9) > 1e-3 {
-		t.Errorf("meter A = %v %v %v, want 75e9", a, ok, err)
-	}
-	b, ok, err := enforce.FetchIngressMeter(srcKV, "Sink", contract.ClassB, "D", "B")
-	if err != nil || !ok || math.Abs(b-25e9) > 1e-3 {
-		t.Errorf("meter B = %v %v %v, want 25e9", b, ok, err)
-	}
-}

@@ -304,8 +304,6 @@ func TestTailSamplingRetention(t *testing.T) {
 		child.Finish()
 		root.Finish()
 	}
-	col.Flush()
-
 	kept := col.Traces(otrace.Query{Outcome: "incident"})
 	if len(kept) != incidents {
 		t.Errorf("retained %d incident traces, want all %d", len(kept), incidents)

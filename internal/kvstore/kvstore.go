@@ -13,7 +13,6 @@ package kvstore
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -119,21 +118,6 @@ func (s *Store) Delete(key string) error {
 	defer s.mu.Unlock()
 	delete(s.data, key)
 	return nil
-}
-
-// Keys returns the live keys with the given prefix, sorted. Useful for
-// debugging and tests.
-func (s *Store) Keys(prefix string) []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var out []string
-	for k, e := range s.data {
-		if strings.HasPrefix(k, prefix) && !s.expired(e) {
-			out = append(out, k)
-		}
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Len returns the number of stored entries, including expired ones not yet

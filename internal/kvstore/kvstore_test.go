@@ -3,6 +3,8 @@ package kvstore
 import (
 	"math"
 	"net"
+	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -342,4 +344,18 @@ func TestServerClampsWireTTL(t *testing.T) {
 			t.Errorf("ttlFromMillis(%d) = %v, want %v", ms, got, want)
 		}
 	}
+}
+
+// Keys returns the live keys with the given prefix, sorted.
+func (s *Store) Keys(prefix string) []string {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	var out []string
+	for k, e := range s.data {
+		if strings.HasPrefix(k, prefix) && !s.expired(e) {
+			out = append(out, k)
+		}
+	}
+	sort.Strings(out)
+	return out
 }

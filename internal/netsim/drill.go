@@ -411,20 +411,3 @@ func (r *DrillReport) SYNSeries() (conforming, nonConforming []int) {
 	}
 	return conforming, nonConforming
 }
-
-// MeasuredAvailability returns the drill service's achieved availability for
-// conforming traffic: the fraction of ticks (with conforming traffic
-// present) whose conforming loss stayed below lossThreshold. The entitlement
-// contract's SLO is judged against this (§1: uptime requires all traffic to
-// be admitted).
-func (r *DrillReport) MeasuredAvailability(lossThreshold float64) float64 {
-	series := r.Sim.Metrics.Series(GroupKey{Class: drillClass, Conforming: true})
-	var tracker contract.UptimeTracker
-	for _, ts := range series {
-		if ts.SentRate <= 0 {
-			continue
-		}
-		tracker.Record(ts.LossRatio < lossThreshold)
-	}
-	return tracker.Availability()
-}

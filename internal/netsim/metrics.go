@@ -165,22 +165,3 @@ func (m *Metrics) Series(key GroupKey) []TickStats { return m.Groups[key] }
 
 // NPGSeries returns the per-service rate series.
 func (m *Metrics) NPGSeries(npg contract.NPG) []NPGTick { return m.PerNPG[npg] }
-
-// WindowAverage averages fn over ticks [lo, hi) of the group's series.
-func (m *Metrics) WindowAverage(key GroupKey, lo, hi int, fn func(TickStats) float64) float64 {
-	series := m.Groups[key]
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > len(series) {
-		hi = len(series)
-	}
-	if lo >= hi {
-		return 0
-	}
-	sum := 0.0
-	for _, ts := range series[lo:hi] {
-		sum += fn(ts)
-	}
-	return sum / float64(hi-lo)
-}

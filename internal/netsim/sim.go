@@ -135,23 +135,6 @@ type Flow struct {
 // Established reports whether the connection handshake completed.
 func (f *Flow) Established() bool { return f.state == stateEstablished }
 
-// DeliveredFraction returns the flow's delivery ratio over its lifetime.
-func (f *Flow) DeliveredFraction() float64 {
-	if f.SentBits == 0 {
-		return 1
-	}
-	return f.DeliveredBits / f.SentBits
-}
-
-// LastLoss returns the previous tick's loss fraction.
-func (f *Flow) LastLoss() float64 { return f.lastLossFrac }
-
-// LastRTT returns the previous tick's RTT estimate.
-func (f *Flow) LastRTT() time.Duration { return time.Duration(f.lastRTT * float64(time.Second)) }
-
-// LastConforming reports whether the flow's traffic was conforming last tick.
-func (f *Flow) LastConforming() bool { return f.lastConforming }
-
 // Host is a server running the BPF egress classifier.
 type Host struct {
 	ID     string
@@ -218,9 +201,6 @@ func (s *Sim) Tick() time.Duration { return s.opts.Tick }
 func (s *Sim) Now() time.Time {
 	return s.opts.Start.Add(time.Duration(s.tickIndex) * s.opts.Tick)
 }
-
-// TickIndex returns the number of completed ticks.
-func (s *Sim) TickIndex() int { return s.tickIndex }
 
 // AddLink registers a link.
 func (s *Sim) AddLink(name string, capacity float64, baseRTT time.Duration) *Link {

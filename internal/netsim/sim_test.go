@@ -73,8 +73,8 @@ func TestFlowEstablishesAndRampsUp(t *testing.T) {
 	if math.Abs(f.rate-10e9)/10e9 > 0.01 {
 		t.Errorf("rate = %v, want ~10e9", f.rate)
 	}
-	if f.DeliveredFraction() < 0.99 {
-		t.Errorf("delivery fraction = %v on clean network", f.DeliveredFraction())
+	if f.DeliveredBits < 0.99*f.SentBits {
+		t.Errorf("delivered %v of %v bits on a clean network", f.DeliveredBits, f.SentBits)
 	}
 }
 
@@ -82,7 +82,7 @@ func TestCongestionCausesLossAndBackoff(t *testing.T) {
 	// Demand 2x capacity: sustained loss, rate backs off below demand.
 	sim, _, f, _ := simpleSim(t, 10e9, 20e9)
 	sim.Run(60)
-	if f.LastLoss() <= 0 {
+	if f.lastLossFrac <= 0 {
 		t.Error("no loss under 2x overload")
 	}
 	if f.rate >= 20e9*0.95 {
@@ -102,11 +102,11 @@ func TestStrictPriorityProtectsPremium(t *testing.T) {
 	fLo := sim.AddFlow(lo, "B", []*Link{link}, 8e9)
 	sim.Run(80)
 	// Premium traffic fits (8 < 10); the basic class eats all the loss.
-	if fHi.LastLoss() > 0.01 {
-		t.Errorf("premium loss = %v", fHi.LastLoss())
+	if fHi.lastLossFrac > 0.01 {
+		t.Errorf("premium loss = %v", fHi.lastLossFrac)
 	}
-	if fLo.LastLoss() <= 0.1 {
-		t.Errorf("basic loss = %v, want substantial", fLo.LastLoss())
+	if fLo.lastLossFrac <= 0.1 {
+		t.Errorf("basic loss = %v, want substantial", fLo.lastLossFrac)
 	}
 	if fLo.rate >= fHi.rate {
 		t.Errorf("basic rate %v not below premium %v", fLo.rate, fHi.rate)
@@ -126,15 +126,15 @@ func TestNonConformingSharesScavengerQueue(t *testing.T) {
 	h.Prog.Actions.Update(bpf.MapKey{NPG: "Svc", Class: contract.C1Low, Region: "A"},
 		bpf.Action{Mode: bpf.MarkHosts, NonConformGroups: bpf.NumGroups})
 	sim.Run(80)
-	if f.LastConforming() {
+	if f.lastConforming {
 		t.Fatal("flow still conforming despite full marking")
 	}
 	// The class-c4 filler now outranks the remarked c1 flow.
-	if fFill.LastLoss() > 0.01 {
-		t.Errorf("filler loss = %v, want ~0", fFill.LastLoss())
+	if fFill.lastLossFrac > 0.01 {
+		t.Errorf("filler loss = %v, want ~0", fFill.lastLossFrac)
 	}
-	if f.LastLoss() <= 0.1 {
-		t.Errorf("remarked flow loss = %v, want substantial", f.LastLoss())
+	if f.lastLossFrac <= 0.1 {
+		t.Errorf("remarked flow loss = %v, want substantial", f.lastLossFrac)
 	}
 }
 
@@ -194,20 +194,6 @@ func TestMetricsSeriesAlignment(t *testing.T) {
 	svcB := sim.Metrics.NPGSeries("SvcB")
 	if svcB[0].TotalRate != 0 {
 		t.Error("backfill not zero")
-	}
-}
-
-func TestWindowAverage(t *testing.T) {
-	sim, _, _, _ := simpleSim(t, 100e9, 10e9)
-	sim.Run(20)
-	key := GroupKey{Class: contract.ClassB, Conforming: true}
-	avg := sim.Metrics.WindowAverage(key, 10, 20, func(ts TickStats) float64 { return ts.SentRate })
-	if avg <= 0 {
-		t.Errorf("window average = %v", avg)
-	}
-	// Degenerate windows.
-	if got := sim.Metrics.WindowAverage(key, 30, 40, func(ts TickStats) float64 { return 1 }); got != 0 {
-		t.Errorf("out-of-range window = %v", got)
 	}
 }
 
@@ -293,11 +279,11 @@ func TestMultiHopPathBottleneck(t *testing.T) {
 	if rate > 5e9*1.05 {
 		t.Errorf("delivered %v exceeds narrow link capacity", rate)
 	}
-	if f.LastLoss() <= 0 {
+	if f.lastLossFrac <= 0 {
 		t.Error("no loss on bottlenecked multi-hop flow")
 	}
 	// RTT accumulates both links' base RTTs.
-	if f.LastRTT() < 10*time.Millisecond {
-		t.Errorf("RTT %v below sum of base RTTs", f.LastRTT())
+	if time.Duration(f.lastRTT*float64(time.Second)) < 10*time.Millisecond {
+		t.Errorf("RTT %v below sum of base RTTs", time.Duration(f.lastRTT*float64(time.Second)))
 	}
 }

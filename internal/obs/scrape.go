@@ -17,9 +17,6 @@ type Scrape map[string]float64
 // Value returns the sample for key ("name" or `name{label="v"}`), or 0.
 func (s Scrape) Value(key string) float64 { return s[key] }
 
-// Has reports whether the sample exists.
-func (s Scrape) Has(key string) bool { _, ok := s[key]; return ok }
-
 // Exemplar is a trace-linked observation attached to a histogram bucket in
 // OpenMetrics `# {trace_id="..."} value` syntax.
 type Exemplar struct {

@@ -63,7 +63,7 @@ func TestScrapeRoundtrip(t *testing.T) {
 		"entitlement_test_rt_vec_seconds_count{kind=\"read\"}":  1,
 	}
 	for key, v := range want {
-		if !s.Has(key) {
+		if _, ok := s[key]; !ok {
 			t.Errorf("scrape is missing %q\n%s", key, b.String())
 			continue
 		}

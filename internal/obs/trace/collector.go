@@ -204,14 +204,6 @@ func (c *Collector) publish(r *rec) {
 	c.slots[i%uint64(len(c.slots))].Store(r)
 }
 
-// Flush drains the staging ring and applies pending tail decisions. The
-// runtime layers call it at cycle cadence; queries call it implicitly.
-func (c *Collector) Flush() {
-	c.mu.Lock()
-	c.flushLocked()
-	c.mu.Unlock()
-}
-
 func (c *Collector) flushLocked() {
 	end := c.pos.Load()
 	capacity := uint64(len(c.slots))

@@ -172,7 +172,7 @@ func TestRingOverwriteCountsDropped(t *testing.T) {
 // set forces retention even for a healthy trace.
 func TestForcedSampledBit(t *testing.T) {
 	c := NewCollector(Options{SampleRate: -1})
-	parent := Context{TraceHi: ProcessID(), TraceLo: newID(), Span: newID(), Sampled: true}
+	parent := Context{TraceHi: processID, TraceLo: newID(), Span: newID(), Sampled: true}
 	sp := c.StartChild(parent, "forced-root")
 	// The child of a sampled parent is not itself a root; simulate the
 	// remote fragment by finishing a local root carrying the bit.
@@ -438,4 +438,12 @@ func TestConcurrentFinishFlush(t *testing.T) {
 	writers.Wait()
 	close(stop)
 	reader.Wait()
+}
+
+// Flush drains the staging ring and applies pending tail decisions, as every
+// query does first.
+func (c *Collector) Flush() {
+	c.mu.Lock()
+	c.flushLocked()
+	c.mu.Unlock()
 }

@@ -178,10 +178,6 @@ func init() {
 	}
 }
 
-// ProcessID returns the per-process random trace-root identity (the high 64
-// bits of every locally minted trace ID). Exposed for tests and diagnostics.
-func ProcessID() uint64 { return processID }
-
 // splitmix64 is the SplitMix64 finalizer: a cheap, high-quality bijection
 // used to turn sequence numbers into well-distributed IDs.
 func splitmix64(x uint64) uint64 {

@@ -74,16 +74,16 @@ func TestParseTraceID(t *testing.T) {
 // roots minted here must carry the per-process random identity in the high
 // half and a unique low half, independent of any configured host name.
 func TestRootIDsAreProcessUnique(t *testing.T) {
-	if ProcessID() == 0 {
-		t.Fatal("ProcessID() is zero — trace IDs would be invalid")
+	if processID == 0 {
+		t.Fatal("processID is zero — trace IDs would be invalid")
 	}
 	c := NewCollector(Options{})
 	seen := map[string]bool{}
 	for i := 0; i < 1000; i++ {
 		sp := c.StartRoot("r")
 		ctx := sp.Context()
-		if ctx.TraceHi != ProcessID() {
-			t.Fatalf("root trace hi %x != process ID %x", ctx.TraceHi, ProcessID())
+		if ctx.TraceHi != processID {
+			t.Fatalf("root trace hi %x != process ID %x", ctx.TraceHi, processID)
 		}
 		if !ctx.Valid() {
 			t.Fatalf("invalid root context %+v", ctx)

@@ -65,10 +65,6 @@ type Span struct {
 	r        rec
 }
 
-// Traced reports whether the span is live (started from a collector, not
-// the zero value, not finished).
-func (s *Span) Traced() bool { return s != nil && s.col != nil && !s.finished }
-
 // Context returns the span's propagation context — what goes on the wire,
 // and what children parent under. Zero for a nil span.
 func (s *Span) Context() Context {

@@ -92,13 +92,6 @@ func (tb *TokenBucket) Rate() float64 {
 	return tb.rate
 }
 
-// Tokens returns the available credit (for tests and introspection).
-func (tb *TokenBucket) Tokens() float64 {
-	tb.mu.Lock()
-	defer tb.mu.Unlock()
-	return tb.tokens
-}
-
 // Rule is one iptables-like match: empty fields are wildcards.
 type Rule struct {
 	NPG   contract.NPG
@@ -138,13 +131,6 @@ func NewChain() *Chain { return &Chain{} }
 func (c *Chain) Append(r Rule) {
 	c.mu.Lock()
 	c.rules = append(c.rules, r)
-	c.mu.Unlock()
-}
-
-// Flush removes all rules.
-func (c *Chain) Flush() {
-	c.mu.Lock()
-	c.rules = nil
 	c.mu.Unlock()
 }
 
@@ -199,16 +185,6 @@ func (s *Shaper) SetClassRate(target string, rate float64) {
 		s.buckets[target] = NewTokenBucket(rate, 0)
 	}
 	s.mu.Unlock()
-}
-
-// ClassRate returns a class's configured rate (0 for unknown classes).
-func (s *Shaper) ClassRate(target string) float64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if tb, ok := s.buckets[target]; ok {
-		return tb.Rate()
-	}
-	return 0
 }
 
 // Advance accrues tokens on every class.

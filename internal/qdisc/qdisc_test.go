@@ -53,7 +53,7 @@ func TestTokenBucketSetRate(t *testing.T) {
 
 func TestTokenBucketZeroBurstDefault(t *testing.T) {
 	tb := NewTokenBucket(1000, 0)
-	if tb.Tokens() <= 0 {
+	if tb.tokens <= 0 {
 		t.Error("zero-burst bucket has no capacity")
 	}
 	if got := tb.Admit(-5); got != 0 {
@@ -98,10 +98,6 @@ func TestChainFirstMatch(t *testing.T) {
 	}
 	if c.Len() != 2 {
 		t.Errorf("Len = %d", c.Len())
-	}
-	c.Flush()
-	if _, ok := c.Classify(pkt("Cold", contract.C4Low, "A")); ok {
-		t.Error("flushed chain still matches")
 	}
 }
 
@@ -163,4 +159,14 @@ func TestShaperAdvanceAndSetRate(t *testing.T) {
 	if s.String() == "" {
 		t.Error("empty String")
 	}
+}
+
+// ClassRate returns a class's configured rate (0 for unknown classes).
+func (s *Shaper) ClassRate(target string) float64 {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if tb, ok := s.buckets[target]; ok {
+		return tb.Rate()
+	}
+	return 0
 }

@@ -53,18 +53,6 @@ func bwTol(b float64) float64 {
 	return 1e-9 + 1e-12*math.Abs(b)
 }
 
-// AvailabilityAt returns the fraction of scenarios in which at least b
-// bandwidth was admitted (within relative tolerance).
-func (c *Curve) AvailabilityAt(b float64) float64 {
-	if len(c.sorted) == 0 {
-		return 0
-	}
-	// Count samples >= b: first index with sorted[i] >= b.
-	tol := bwTol(b)
-	i := sort.Search(len(c.sorted), func(i int) bool { return c.sorted[i] >= b-tol })
-	return float64(len(c.sorted)-i) / float64(len(c.sorted))
-}
-
 // RateAtAvailability returns the largest bandwidth admitted in at least slo
 // fraction of scenarios — the volume the network can guarantee at that SLO.
 // It returns 0 when the SLO is unattainable (e.g. more stringent than 1-1/n).
@@ -177,16 +165,6 @@ func checkDemandKeys(demands []flow.Demand) error {
 		seen[d.Key] = true
 	}
 	return nil
-}
-
-// MeetsSLO reports whether the demand's full requested rate is available at
-// the SLO target under the assessment.
-func (r *Result) MeetsSLO(d flow.Demand, slo float64) bool {
-	c, ok := r.Curves[d.Key]
-	if !ok {
-		return false
-	}
-	return c.RateAtAvailability(slo) >= d.Rate-bwTol(d.Rate)
 }
 
 // GuaranteedRate returns the bandwidth guaranteed to demand key at the SLO,

@@ -193,14 +193,6 @@ func (e *Engine) SetObjective(contractName string, slo float64) {
 	e.mu.Unlock()
 }
 
-// Objective returns a contract's SLO, if set.
-func (e *Engine) Objective(contractName string) (float64, bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	s, ok := e.objectives[contractName]
-	return s, ok
-}
-
 // Evaluate drains new samples from the recorder, folds them into every
 // window, refreshes the entitlement_slo_* gauges, and advances the alert
 // state machines. It returns the alert transitions that occurred, in

@@ -82,10 +82,6 @@ func (s *Series) Record(sm Sample) {
 	mSamplesRecorded.Inc()
 }
 
-// Recorded returns the total number of samples ever recorded (not the
-// number retained; the ring keeps the most recent cap).
-func (s *Series) Recorded() uint64 { return s.pos.Load() }
-
 // Snapshot returns the retained samples in chronological order. It is a
 // consistent-enough read for forensics: each sample is read atomically
 // (whole-struct via pointer), and slots overwritten while scanning are

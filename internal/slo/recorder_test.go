@@ -20,7 +20,7 @@ func TestRecorderBounded(t *testing.T) {
 	for i := 0; i < n; i++ {
 		s.Record(Sample{At: ts(i), Granted: float64(i)})
 	}
-	if got := s.Recorded(); got != n {
+	if got := s.pos.Load(); got != n {
 		t.Fatalf("Recorded() = %d, want %d", got, n)
 	}
 	snap := s.Snapshot()
@@ -76,7 +76,7 @@ func TestRecorderConcurrent(t *testing.T) {
 	writeWG.Wait()
 	close(stop)
 	readWG.Wait()
-	if got := rec.Series(k).Recorded(); got != writers*perWriter {
+	if got := rec.Series(k).pos.Load(); got != writers*perWriter {
 		t.Fatalf("Recorded() = %d, want %d", got, writers*perWriter)
 	}
 }
@@ -158,7 +158,7 @@ func TestDrainDropAccountingRace(t *testing.T) {
 	writeWG.Wait()
 	close(done)
 	drainWG.Wait()
-	if got := s.Recorded(); got != writers*perWriter {
+	if got := s.pos.Load(); got != writers*perWriter {
 		t.Fatalf("Recorded() = %d, want %d", got, writers*perWriter)
 	}
 }

@@ -1,7 +1,7 @@
 // Package stats provides the small statistical toolkit used throughout the
 // entitlement pipeline: quantiles, symmetric MAPE (the paper's forecast
-// accuracy metric, §7.1), empirical CDFs, histograms, and reproducible
-// random sampling helpers (Dirichlet draws for hose-polytope sampling).
+// accuracy metric, §7.1), empirical CDFs, and reproducible random sampling
+// helpers (Dirichlet draws for hose-polytope sampling).
 //
 // Everything is deterministic given a seed; no global random state is used.
 package stats
@@ -211,55 +211,6 @@ func maxInt(a, b int) int {
 	return b
 }
 
-// Histogram is a fixed-width bucket histogram over [Lo, Hi). Observations
-// outside the range are not dropped: they accumulate in Below and Above,
-// so Total always equals sum(Counts) + Below + Above and a mis-sized range
-// is visible instead of silently truncated.
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int
-	// Below counts observations x < Lo; Above counts x >= Hi.
-	Below int
-	Above int
-	total int
-}
-
-// NewHistogram creates a histogram with n buckets spanning [lo, hi).
-func NewHistogram(lo, hi float64, n int) *Histogram {
-	if n <= 0 || hi <= lo {
-		panic("stats: invalid histogram bounds")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int, n)}
-}
-
-// Add records an observation.
-func (h *Histogram) Add(x float64) {
-	h.total++
-	switch {
-	case x < h.Lo:
-		h.Below++
-	case x >= h.Hi:
-		h.Above++
-	default:
-		i := int((x - h.Lo) / (h.Hi - h.Lo) * float64(len(h.Counts)))
-		if i >= len(h.Counts) {
-			i = len(h.Counts) - 1
-		}
-		h.Counts[i]++
-	}
-}
-
-// Total returns the number of observations recorded, including out-of-range.
-func (h *Histogram) Total() int { return h.total }
-
-// Fraction returns the fraction of observations falling in bucket i.
-func (h *Histogram) Fraction(i int) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return float64(h.Counts[i]) / float64(h.total)
-}
-
 // Dirichlet draws a sample from a symmetric Dirichlet distribution with
 // concentration alpha over k dimensions, using rng. The result sums to 1.
 // It is used to sample traffic splits uniformly (alpha=1) from a hose's
@@ -326,28 +277,3 @@ func Clamp(x, lo, hi float64) float64 {
 	}
 	return x
 }
-
-// EWMA maintains an exponentially weighted moving average with smoothing
-// factor Alpha in (0, 1]; larger Alpha weights recent observations more.
-type EWMA struct {
-	Alpha float64
-	value float64
-	init  bool
-}
-
-// Update folds x into the average and returns the new value.
-func (e *EWMA) Update(x float64) float64 {
-	if !e.init {
-		e.value = x
-		e.init = true
-		return x
-	}
-	e.value = e.Alpha*x + (1-e.Alpha)*e.value
-	return e.value
-}
-
-// Value returns the current average (0 before any update).
-func (e *EWMA) Value() float64 { return e.value }
-
-// Initialized reports whether Update has been called at least once.
-func (e *EWMA) Initialized() bool { return e.init }

@@ -226,59 +226,6 @@ func TestCDFPoints(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	for i := 0; i < 10; i++ {
-		h.Add(float64(i) + 0.5)
-	}
-	h.Add(-1) // under
-	h.Add(11) // over
-	if h.Total() != 12 {
-		t.Errorf("Total = %d, want 12", h.Total())
-	}
-	for i := 0; i < 10; i++ {
-		if h.Counts[i] != 1 {
-			t.Errorf("bucket %d = %d, want 1", i, h.Counts[i])
-		}
-	}
-	if got := h.Fraction(0); !almostEqual(got, 1.0/12, 1e-12) {
-		t.Errorf("Fraction(0) = %v", got)
-	}
-}
-
-func TestHistogramBelowAbove(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, x := range []float64{-3, -0.001, 0, 5, 9.999, 10, 1e9} {
-		h.Add(x)
-	}
-	if h.Below != 2 {
-		t.Errorf("Below = %d, want 2 (x < Lo)", h.Below)
-	}
-	if h.Above != 2 {
-		t.Errorf("Above = %d, want 2 (x >= Hi, boundary included)", h.Above)
-	}
-	inRange := 0
-	for _, c := range h.Counts {
-		inRange += c
-	}
-	if inRange != 3 {
-		t.Errorf("in-range count = %d, want 3", inRange)
-	}
-	if h.Total() != inRange+h.Below+h.Above {
-		t.Errorf("Total %d != Counts %d + Below %d + Above %d",
-			h.Total(), inRange, h.Below, h.Above)
-	}
-}
-
-func TestHistogramInvalid(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("invalid histogram did not panic")
-		}
-	}()
-	NewHistogram(1, 0, 4)
-}
-
 func TestDirichletSumsToOne(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for _, k := range []int{1, 2, 5, 20} {
@@ -334,21 +281,5 @@ func TestClamp(t *testing.T) {
 	}
 	if got := Clamp(0.5, 0, 1); got != 0.5 {
 		t.Errorf("Clamp mid = %v", got)
-	}
-}
-
-func TestEWMA(t *testing.T) {
-	e := &EWMA{Alpha: 0.5}
-	if e.Initialized() {
-		t.Error("EWMA initialized before update")
-	}
-	if got := e.Update(10); got != 10 {
-		t.Errorf("first update = %v, want 10", got)
-	}
-	if got := e.Update(20); got != 15 {
-		t.Errorf("second update = %v, want 15", got)
-	}
-	if e.Value() != 15 {
-		t.Errorf("Value = %v, want 15", e.Value())
 	}
 }

@@ -1,8 +1,7 @@
 // Package timeseries provides the time-series types and transforms consumed
 // by the demand-forecast pipeline (§4.1): uniformly sampled series,
 // resampling, rolling windows (the storage SLI uses a daily max of 6-hour
-// averages), daily/monthly aggregation, and an additive STL-lite
-// decomposition into trend, seasonality, and residual.
+// averages), and daily aggregation.
 package timeseries
 
 import (
@@ -64,15 +63,6 @@ func (s *Series) Add(o *Series) (*Series, error) {
 		out.Values[i] += v
 	}
 	return out, nil
-}
-
-// Scale returns a new series with every sample multiplied by k.
-func (s *Series) Scale(k float64) *Series {
-	out := s.Clone()
-	for i := range out.Values {
-		out.Values[i] *= k
-	}
-	return out
 }
 
 func (s *Series) checkAligned(o *Series) error {
@@ -137,80 +127,4 @@ func (s *Series) DailyQuantile(q float64) (*Series, error) {
 	return s.Resample(24*time.Hour, func(xs []float64) float64 {
 		return stats.Quantile(xs, q)
 	})
-}
-
-// MonthlyMean aggregates to ~30-day buckets using the mean; the forecast
-// models operate on monthly volumes (§4.1's tree model uses months t−1..t−3).
-func (s *Series) MonthlyMean() (*Series, error) {
-	return s.Resample(30*24*time.Hour, stats.Mean)
-}
-
-// Decomposition is an additive decomposition y(t) = Trend + Seasonal + Resid.
-type Decomposition struct {
-	Trend    *Series
-	Seasonal *Series
-	Resid    *Series
-}
-
-// Decompose performs an STL-lite additive decomposition with the given
-// seasonal period (in samples): the trend is a centred moving average over
-// one period, the seasonal component is the per-phase mean of the detrended
-// series (normalized to sum to zero), and the residual is what remains.
-func Decompose(s *Series, period int) (*Decomposition, error) {
-	if period <= 1 || period > len(s.Values) {
-		return nil, fmt.Errorf("timeseries: invalid period %d for %d samples", period, len(s.Values))
-	}
-	n := len(s.Values)
-	trend := make([]float64, n)
-	half := period / 2
-	for i := 0; i < n; i++ {
-		lo, hi := i-half, i+half
-		if lo < 0 {
-			lo = 0
-		}
-		if hi >= n {
-			hi = n - 1
-		}
-		trend[i] = stats.Mean(s.Values[lo : hi+1])
-	}
-	// Per-phase seasonal means over the detrended series.
-	phaseSum := make([]float64, period)
-	phaseN := make([]int, period)
-	for i := 0; i < n; i++ {
-		p := i % period
-		phaseSum[p] += s.Values[i] - trend[i]
-		phaseN[p]++
-	}
-	seasonalMean := make([]float64, period)
-	total := 0.0
-	for p := range seasonalMean {
-		if phaseN[p] > 0 {
-			seasonalMean[p] = phaseSum[p] / float64(phaseN[p])
-		}
-		total += seasonalMean[p]
-	}
-	// Normalize so the seasonal component sums to zero over a period.
-	adjust := total / float64(period)
-	for p := range seasonalMean {
-		seasonalMean[p] -= adjust
-	}
-	seasonal := make([]float64, n)
-	resid := make([]float64, n)
-	for i := 0; i < n; i++ {
-		seasonal[i] = seasonalMean[i%period]
-		// Re-fold the normalization shift into the trend.
-		trend[i] += adjust
-		resid[i] = s.Values[i] - trend[i] - seasonal[i]
-	}
-	mk := func(v []float64) *Series { return &Series{Start: s.Start, Step: s.Step, Values: v} }
-	return &Decomposition{Trend: mk(trend), Seasonal: mk(seasonal), Resid: mk(resid)}, nil
-}
-
-// Lag returns the value h samples before index i, or def when out of range.
-func (s *Series) Lag(i, h int, def float64) float64 {
-	j := i - h
-	if j < 0 || j >= len(s.Values) {
-		return def
-	}
-	return s.Values[j]
 }

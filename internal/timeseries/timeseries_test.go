@@ -65,7 +65,7 @@ func TestSliceOutOfRangePanics(t *testing.T) {
 	s.Slice(0, 5)
 }
 
-func TestAddAndScale(t *testing.T) {
+func TestAdd(t *testing.T) {
 	a := New(t0, time.Hour, []float64{1, 2})
 	b := New(t0, time.Hour, []float64{10, 20})
 	sum, err := a.Add(b)
@@ -74,10 +74,6 @@ func TestAddAndScale(t *testing.T) {
 	}
 	if sum.Values[0] != 11 || sum.Values[1] != 22 {
 		t.Errorf("Add = %v", sum.Values)
-	}
-	sc := a.Scale(3)
-	if sc.Values[1] != 6 {
-		t.Errorf("Scale = %v", sc.Values)
 	}
 	// Misaligned.
 	c := New(t0.Add(time.Minute), time.Hour, []float64{1, 2})
@@ -157,110 +153,6 @@ func TestDailyQuantile(t *testing.T) {
 	}
 	if q.Len() != 1 || !almostEqual(q.Values[0], 11.5, 1e-12) {
 		t.Errorf("DailyQuantile = %v", q.Values)
-	}
-}
-
-func TestMonthlyMean(t *testing.T) {
-	vals := make([]float64, 60*24) // 60 days hourly
-	for i := range vals {
-		vals[i] = 5
-	}
-	s := New(t0, time.Hour, vals)
-	m, err := s.MonthlyMean()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Len() != 2 || m.Values[0] != 5 || m.Values[1] != 5 {
-		t.Errorf("MonthlyMean = %v", m.Values)
-	}
-}
-
-func TestDecomposeRecovery(t *testing.T) {
-	// y = trend(linear) + seasonal(period 4).
-	period := 4
-	seasonal := []float64{3, -1, -2, 0}
-	n := 40
-	vals := make([]float64, n)
-	for i := range vals {
-		vals[i] = 10 + 0.5*float64(i) + seasonal[i%period]
-	}
-	s := New(t0, time.Hour, vals)
-	d, err := Decompose(s, period)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Reconstruction must be exact.
-	for i := 0; i < n; i++ {
-		rec := d.Trend.Values[i] + d.Seasonal.Values[i] + d.Resid.Values[i]
-		if !almostEqual(rec, vals[i], 1e-9) {
-			t.Fatalf("reconstruction[%d] = %v, want %v", i, rec, vals[i])
-		}
-	}
-	// Seasonal component sums to ~0 over a period.
-	sum := 0.0
-	for p := 0; p < period; p++ {
-		sum += d.Seasonal.Values[p]
-	}
-	if !almostEqual(sum, 0, 1e-9) {
-		t.Errorf("seasonal sum over period = %v, want 0", sum)
-	}
-	// Interior seasonal estimates track the true pattern (up to a level shift
-	// absorbed by the trend); check relative differences.
-	diff01 := d.Seasonal.Values[0] - d.Seasonal.Values[1]
-	if !almostEqual(diff01, seasonal[0]-seasonal[1], 0.6) {
-		t.Errorf("seasonal diff = %v, want %v", diff01, seasonal[0]-seasonal[1])
-	}
-}
-
-func TestDecomposeErrors(t *testing.T) {
-	s := New(t0, time.Hour, []float64{1, 2, 3})
-	if _, err := Decompose(s, 1); err == nil {
-		t.Error("period 1 did not error")
-	}
-	if _, err := Decompose(s, 10); err == nil {
-		t.Error("period > len did not error")
-	}
-}
-
-func TestLag(t *testing.T) {
-	s := New(t0, time.Hour, []float64{1, 2, 3})
-	if got := s.Lag(2, 1, -1); got != 2 {
-		t.Errorf("Lag = %v, want 2", got)
-	}
-	if got := s.Lag(0, 1, -1); got != -1 {
-		t.Errorf("Lag default = %v, want -1", got)
-	}
-}
-
-// Property: Decompose always reconstructs the input exactly.
-func TestDecomposeReconstructionProperty(t *testing.T) {
-	f := func(raw []uint16, periodRaw uint8) bool {
-		if len(raw) < 8 {
-			return true
-		}
-		period := 2 + int(periodRaw)%6
-		if period > len(raw) {
-			return true
-		}
-		vals := make([]float64, len(raw))
-		for i, v := range raw {
-			vals[i] = float64(v)
-		}
-		s := New(t0, time.Hour, vals)
-		d, err := Decompose(s, period)
-		if err != nil {
-			return false
-		}
-		for i := range vals {
-			rec := d.Trend.Values[i] + d.Seasonal.Values[i] + d.Resid.Values[i]
-			if !almostEqual(rec, vals[i], 1e-6) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
 	}
 }
 

@@ -52,7 +52,6 @@ type Topology struct {
 	SRLGs   []SRLG
 
 	regionIdx map[Region]int
-	adjacency map[Region][]int // outgoing link IDs
 
 	// dense caches the CSR adjacency; rebuilt lazily after structural
 	// mutations (AddRegion/AddLink). Safe for concurrent readers.
@@ -78,8 +77,8 @@ func (t *Topology) Epoch() uint64 { return t.epoch.Load() }
 
 // Dense is a CSR-style view of the topology over dense region indexes: the
 // outgoing link IDs of region index r are OutLinks[OutStart[r]:OutStart[r+1]],
-// in link-insertion order (matching Outgoing, so path tie-breaking is
-// unchanged). SrcIdx/DstIdx give each link's endpoint region indexes without
+// in link-insertion order, so path tie-breaking follows insertion order.
+// SrcIdx/DstIdx give each link's endpoint region indexes without
 // map lookups. The flow engine's hot loops run entirely on this view.
 //
 // A Dense snapshot is immutable; structural mutations of the Topology produce
@@ -141,7 +140,6 @@ func (t *Topology) invalidateDense() {
 func New() *Topology {
 	return &Topology{
 		regionIdx: make(map[Region]int),
-		adjacency: make(map[Region][]int),
 		srlgIdx:   make(map[int]int),
 	}
 }
@@ -190,7 +188,6 @@ func (t *Topology) AddLink(src, dst Region, capacity, failProb float64, srlg int
 		ID: id, Src: src, Dst: dst, Capacity: capacity, Metric: 1,
 		FailProb: failProb, SRLG: srlg,
 	})
-	t.adjacency[src] = append(t.adjacency[src], id)
 	t.invalidateDense()
 	if srlg >= 0 {
 		t.srlgByID(srlg).Members = append(t.srlgByID(srlg).Members, id)
@@ -235,9 +232,6 @@ func (t *Topology) srlgByID(id int) *SRLG {
 	t.SRLGs = append(t.SRLGs, SRLG{ID: id})
 	return &t.SRLGs[len(t.SRLGs)-1]
 }
-
-// Outgoing returns the IDs of links leaving r.
-func (t *Topology) Outgoing(r Region) []int { return t.adjacency[r] }
 
 // Link returns the link with the given ID.
 func (t *Topology) Link(id int) *Link { return &t.Links[id] }
@@ -306,22 +300,6 @@ func (s *FailureState) IsUp(id int) bool {
 		return true
 	}
 	return !s.Down[id]
-}
-
-// FailLink marks a single link down.
-func (s *FailureState) FailLink(id int) { s.Down[id] = true }
-
-// FailSRLG marks every member of the group down.
-func (t *Topology) FailSRLG(s *FailureState, srlgID int) error {
-	for _, g := range t.SRLGs {
-		if g.ID == srlgID {
-			for _, id := range g.Members {
-				s.Down[id] = true
-			}
-			return nil
-		}
-	}
-	return errors.New("topology: unknown SRLG")
 }
 
 // --- Decomposable scenario sampling ---------------------------------------
@@ -509,7 +487,6 @@ func (t *Topology) Clone() *Topology {
 		Links:     append([]Link(nil), t.Links...),
 		SRLGs:     make([]SRLG, len(t.SRLGs)),
 		regionIdx: make(map[Region]int, len(t.regionIdx)),
-		adjacency: make(map[Region][]int, len(t.adjacency)),
 		srlgIdx:   make(map[int]int, len(t.srlgIdx)),
 	}
 	for i, g := range t.SRLGs {
@@ -518,9 +495,6 @@ func (t *Topology) Clone() *Topology {
 	}
 	for r, i := range t.regionIdx {
 		out.regionIdx[r] = i
-	}
-	for r, ids := range t.adjacency {
-		out.adjacency[r] = append([]int(nil), ids...)
 	}
 	return out
 }

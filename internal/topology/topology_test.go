@@ -30,11 +30,12 @@ func TestAddLink(t *testing.T) {
 	if l.Src != "A" || l.Dst != "B" || l.Capacity != 100 || l.Metric != 1 {
 		t.Errorf("Link = %+v", l)
 	}
-	out := topo.Outgoing("A")
-	if len(out) != 1 || out[0] != id {
-		t.Errorf("Outgoing = %v", out)
+	d := topo.Dense()
+	a, b := topo.RegionIndex("A"), topo.RegionIndex("B")
+	if out := d.OutLinks[d.OutStart[a]:d.OutStart[a+1]]; len(out) != 1 || int(out[0]) != id {
+		t.Errorf("links out of A = %v", out)
 	}
-	if len(topo.Outgoing("B")) != 0 {
+	if d.OutStart[b+1] != d.OutStart[b] {
 		t.Error("B should have no outgoing links")
 	}
 }
@@ -106,18 +107,9 @@ func TestFailureState(t *testing.T) {
 	if !nilState.IsUp(0) {
 		t.Error("nil state should be all-up")
 	}
-	s.FailLink(cd)
-	if s.IsUp(cd) {
-		t.Error("FailLink ineffective")
-	}
-	if err := topo.FailSRLG(s, 0); err != nil {
-		t.Fatal(err)
-	}
-	if s.IsUp(ab) || s.IsUp(ba) {
-		t.Error("FailSRLG did not fail both directions")
-	}
-	if err := topo.FailSRLG(s, 42); err == nil {
-		t.Error("unknown SRLG accepted")
+	s.Down[cd] = true
+	if s.IsUp(cd) || !s.IsUp(ab) || !s.IsUp(ba) {
+		t.Error("IsUp does not follow Down")
 	}
 }
 

@@ -104,27 +104,3 @@ func ReadCSV(r io.Reader, start time.Time) (*DemandSet, error) {
 	}
 	return ds, nil
 }
-
-// WriteCSV emits the demand set in the ReadCSV format, with a header.
-func WriteCSV(w io.Writer, ds *DemandSet) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"npg", "class", "src", "dst", "offset_seconds", "bits_per_second"}); err != nil {
-		return err
-	}
-	for i := range ds.Flows {
-		f := &ds.Flows[i]
-		base := f.Series.Start.Sub(ds.Flows[0].Series.Start).Seconds()
-		for j, v := range f.Series.Values {
-			rec := []string{
-				string(f.NPG), f.Class.String(), string(f.Src), string(f.Dst),
-				strconv.FormatFloat(base+float64(j)*f.Series.Step.Seconds(), 'f', -1, 64),
-				strconv.FormatFloat(v, 'g', -1, 64),
-			}
-			if err := cw.Write(rec); err != nil {
-				return err
-			}
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}

@@ -2,6 +2,9 @@ package trace
 
 import (
 	"bytes"
+	"encoding/csv"
+	"io"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -85,4 +88,29 @@ func TestReadCSVErrors(t *testing.T) {
 			t.Errorf("%s: accepted", name)
 		}
 	}
+}
+
+// WriteCSV emits the demand set in the ReadCSV format, with a header: the
+// other half of the ReadCSV round trip.
+func WriteCSV(w io.Writer, ds *DemandSet) error {
+	cw := csv.NewWriter(w)
+	if err := cw.Write([]string{"npg", "class", "src", "dst", "offset_seconds", "bits_per_second"}); err != nil {
+		return err
+	}
+	for i := range ds.Flows {
+		f := &ds.Flows[i]
+		base := f.Series.Start.Sub(ds.Flows[0].Series.Start).Seconds()
+		for j, v := range f.Series.Values {
+			rec := []string{
+				string(f.NPG), f.Class.String(), string(f.Src), string(f.Dst),
+				strconv.FormatFloat(base+float64(j)*f.Series.Step.Seconds(), 'f', -1, 64),
+				strconv.FormatFloat(v, 'g', -1, 64),
+			}
+			if err := cw.Write(rec); err != nil {
+				return err
+			}
+		}
+	}
+	cw.Flush()
+	return cw.Error()
 }

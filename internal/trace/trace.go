@@ -4,8 +4,6 @@
 //   - pattern generators matching §2.1's observations: smooth diurnal
 //     (Warmstorage), periodic rack-rotation spikes (Coldstorage), and
 //     trend + weekly seasonality + holidays for forecasting workloads;
-//   - incident injectors reproducing §2.2's misbehaving-service events
-//     (a spike forming within three minutes, 50% above predicted volume);
 //   - a service ontology with a handful of dominant services and a long
 //     tail (Figures 1 and 2), including source-region concentration
 //     (Figure 7: 67% of traffic from 3 regions);
@@ -137,35 +135,6 @@ func TrendSeasonal(opts GrowthOptions) *timeseries.Series {
 		vals[i] = v
 	}
 	return timeseries.New(DefaultStart, opts.Step, vals)
-}
-
-// Incident describes an injected misbehaving-service event, e.g. §2.2's
-// video-client bug: "this spike was formed within three minutes, and the
-// peak volume was 50% more than predicted volume".
-type Incident struct {
-	At        time.Duration // offset from series start
-	Ramp      time.Duration // time for the spike to fully form
-	Duration  time.Duration // how long the elevated level lasts (excludes ramp)
-	Magnitude float64       // fractional increase at peak (0.5 = +50%)
-}
-
-// InjectIncident returns a copy of s with the incident's multiplicative
-// spike applied: rate ramps linearly to (1+Magnitude)× over Ramp, stays
-// there for Duration, then drops back instantly (bug rollback).
-func InjectIncident(s *timeseries.Series, inc Incident) *timeseries.Series {
-	out := s.Clone()
-	for i := range out.Values {
-		at := time.Duration(i) * s.Step
-		switch {
-		case at < inc.At:
-		case at < inc.At+inc.Ramp:
-			frac := float64(at-inc.At) / float64(inc.Ramp)
-			out.Values[i] *= 1 + inc.Magnitude*frac
-		case at < inc.At+inc.Ramp+inc.Duration:
-			out.Values[i] *= 1 + inc.Magnitude
-		}
-	}
-	return out
 }
 
 func samplesFor(days int, step time.Duration) int {
@@ -432,92 +401,6 @@ func patternSeries(kind PatternKind, meanRate float64, days int, step time.Durat
 			PeakHour: 20, Days: days, Step: step, Seed: seed,
 		})
 	}
-}
-
-// FlowFilter selects flows; zero-valued fields match everything.
-type FlowFilter struct {
-	NPG   contract.NPG
-	Class contract.Class
-	// HasClass must be set for Class to participate in matching, since
-	// C1Low is the zero value.
-	HasClass bool
-	Src, Dst topology.Region
-}
-
-func (f FlowFilter) matches(fs *FlowSeries) bool {
-	if f.NPG != "" && fs.NPG != f.NPG {
-		return false
-	}
-	if f.HasClass && fs.Class != f.Class {
-		return false
-	}
-	if f.Src != "" && fs.Src != f.Src {
-		return false
-	}
-	if f.Dst != "" && fs.Dst != f.Dst {
-		return false
-	}
-	return true
-}
-
-// Aggregate sums the series of every flow matching the filter. It returns
-// nil when nothing matches.
-func (ds *DemandSet) Aggregate(f FlowFilter) *timeseries.Series {
-	var acc *timeseries.Series
-	for i := range ds.Flows {
-		fs := &ds.Flows[i]
-		if !f.matches(fs) {
-			continue
-		}
-		if acc == nil {
-			acc = fs.Series.Clone()
-			continue
-		}
-		for j, v := range fs.Series.Values {
-			acc.Values[j] += v
-		}
-	}
-	return acc
-}
-
-// PerDestination returns F(dst, t): the per-destination egress series of one
-// (NPG, class, src) hose — the input to the segmentation algorithm (§4.2).
-func (ds *DemandSet) PerDestination(npg contract.NPG, class contract.Class, src topology.Region) map[topology.Region]*timeseries.Series {
-	out := make(map[topology.Region]*timeseries.Series)
-	for i := range ds.Flows {
-		fs := &ds.Flows[i]
-		if fs.NPG != npg || fs.Class != class || fs.Src != src {
-			continue
-		}
-		if cur, ok := out[fs.Dst]; ok {
-			for j, v := range fs.Series.Values {
-				cur.Values[j] += v
-			}
-		} else {
-			out[fs.Dst] = fs.Series.Clone()
-		}
-	}
-	return out
-}
-
-// PerSource returns the per-source ingress series toward one destination —
-// the data behind Figure 7.
-func (ds *DemandSet) PerSource(npg contract.NPG, class contract.Class, dst topology.Region) map[topology.Region]*timeseries.Series {
-	out := make(map[topology.Region]*timeseries.Series)
-	for i := range ds.Flows {
-		fs := &ds.Flows[i]
-		if fs.NPG != npg || fs.Class != class || fs.Dst != dst {
-			continue
-		}
-		if cur, ok := out[fs.Src]; ok {
-			for j, v := range fs.Series.Values {
-				cur.Values[j] += v
-			}
-		} else {
-			out[fs.Src] = fs.Series.Clone()
-		}
-	}
-	return out
 }
 
 // NPGs returns the distinct NPGs present in the demand set, sorted.

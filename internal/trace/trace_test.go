@@ -7,7 +7,6 @@ import (
 
 	"entitlement/internal/contract"
 	"entitlement/internal/stats"
-	"entitlement/internal/timeseries"
 	"entitlement/internal/topology"
 )
 
@@ -102,36 +101,6 @@ func TestTrendSeasonalHoliday(t *testing.T) {
 	}
 	if math.Abs(s.Values[3]-s.Values[2]-50) > 5 {
 		t.Errorf("holiday bump = %v, want ~50", s.Values[3]-s.Values[2])
-	}
-}
-
-func TestInjectIncident(t *testing.T) {
-	base := make([]float64, 60)
-	for i := range base {
-		base[i] = 100
-	}
-	s := timeseries.New(DefaultStart, time.Minute, base)
-	inc := Incident{At: 10 * time.Minute, Ramp: 3 * time.Minute, Duration: 20 * time.Minute, Magnitude: 0.5}
-	out := InjectIncident(s, inc)
-	// Before: untouched.
-	if out.Values[5] != 100 {
-		t.Errorf("pre-incident = %v", out.Values[5])
-	}
-	// During plateau: +50% (§2.2: peak 50% above predicted).
-	if math.Abs(out.Values[20]-150) > 1e-9 {
-		t.Errorf("plateau = %v, want 150", out.Values[20])
-	}
-	// During ramp: strictly between.
-	if out.Values[11] <= 100 || out.Values[11] >= 150 {
-		t.Errorf("ramp sample = %v", out.Values[11])
-	}
-	// After: rollback to normal.
-	if out.Values[40] != 100 {
-		t.Errorf("post-incident = %v", out.Values[40])
-	}
-	// Original untouched.
-	if s.Values[20] != 100 {
-		t.Error("InjectIncident mutated input")
 	}
 }
 
@@ -236,8 +205,13 @@ func TestGenerateDemandsBasics(t *testing.T) {
 		}
 	}
 	// Total mean rate near requested (noise and flooring cause slack).
-	agg := ds.Aggregate(FlowFilter{})
-	mean := stats.Mean(agg.Values)
+	total := make([]float64, ds.Len)
+	for i := range ds.Flows {
+		for j, v := range ds.Flows[i].Series.Values {
+			total[j] += v
+		}
+	}
+	mean := stats.Mean(total)
 	if mean < 60e12 || mean > 140e12 {
 		t.Errorf("aggregate mean %v, want ~100e12", mean)
 	}
@@ -270,55 +244,6 @@ func TestGenerateDemandsDeterministic(t *testing.T) {
 				t.Fatal("series values differ")
 			}
 		}
-	}
-}
-
-func TestAggregateFilter(t *testing.T) {
-	specs := DefaultOntology(0)
-	ds, err := GenerateDemands(specs, MatrixOptions{
-		Regions: regions(4), TotalRate: 10e12, Days: 1, Step: time.Hour, Seed: 3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	all := ds.Aggregate(FlowFilter{})
-	ads := ds.Aggregate(FlowFilter{NPG: "Ads"})
-	if ads == nil {
-		t.Fatal("Ads aggregate empty")
-	}
-	if stats.Mean(ads.Values) >= stats.Mean(all.Values) {
-		t.Error("single NPG aggregate not below total")
-	}
-	if got := ds.Aggregate(FlowFilter{NPG: "NoSuch"}); got != nil {
-		t.Error("bogus NPG aggregate not nil")
-	}
-	classOnly := ds.Aggregate(FlowFilter{Class: contract.ClassA, HasClass: true})
-	if classOnly == nil {
-		t.Fatal("class aggregate empty")
-	}
-}
-
-func TestPerDestinationAndPerSource(t *testing.T) {
-	specs := DefaultOntology(0)
-	rs := regions(5)
-	ds, err := GenerateDemands(specs, MatrixOptions{
-		Regions: rs, TotalRate: 10e12, Days: 1, Step: time.Hour, Seed: 3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Find a (npg, class, src) with flows.
-	f := ds.Flows[0]
-	perDst := ds.PerDestination(f.NPG, f.Class, f.Src)
-	if len(perDst) == 0 {
-		t.Fatal("PerDestination empty")
-	}
-	if _, ok := perDst[f.Src]; ok {
-		t.Error("PerDestination contains self region")
-	}
-	perSrc := ds.PerSource(f.NPG, f.Class, f.Dst)
-	if len(perSrc) == 0 {
-		t.Fatal("PerSource empty")
 	}
 }
 

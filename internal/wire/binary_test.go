@@ -62,7 +62,7 @@ func startPayloadServer(t *testing.T, opts ServerOptions) (*Server, string) {
 		case "traceid":
 			return tc.TraceID(), nil
 		case "jsonfield":
-			if p.IsBinary() {
+			if p.binary {
 				return nil, fmt.Errorf("JSON args arrived flagged schema-binary")
 			}
 			var a map[string]string
@@ -565,7 +565,7 @@ func TestOverloadedUnwrapAndErrors(t *testing.T) {
 
 func TestPayloadDecodeErrors(t *testing.T) {
 	p := BinaryPayload((&schemav1.KVKey{Key: "x"}).AppendBinary(nil))
-	if !p.IsBinary() || p.Empty() {
+	if !p.binary || p.Empty() {
 		t.Error("BinaryPayload flags")
 	}
 	var s string
@@ -597,3 +597,6 @@ func TestAppendRequestID(t *testing.T) {
 		t.Errorf("traced id = %q", got)
 	}
 }
+
+// BinaryPayload wraps schema-binary bytes as a Payload.
+func BinaryPayload(b []byte) Payload { return Payload{data: b, binary: true} }

@@ -347,12 +347,6 @@ type Payload struct {
 // JSONPayload wraps raw JSON bytes as a Payload (for tests and adapters).
 func JSONPayload(b []byte) Payload { return Payload{data: b} }
 
-// BinaryPayload wraps schema-binary bytes as a Payload.
-func BinaryPayload(b []byte) Payload { return Payload{data: b, binary: true} }
-
-// IsBinary reports whether the payload is schema-binary rather than JSON.
-func (p Payload) IsBinary() bool { return p.binary }
-
 // Empty reports whether the request carried no payload.
 func (p Payload) Empty() bool { return len(p.data) == 0 }
 
