@@ -191,7 +191,7 @@ fuzz-smoke:
 # along) and the packages that define them. Each is the only definition of its
 # number; TestCommittedBaselineParses (cmd/benchgate) fails tier-1 when one of
 # these names is missing from the packages' test files or from BENCH.txt.
-BENCH_GATE := BenchmarkAllocateRunner|BenchmarkAssessCold|BenchmarkAssessWarm|BenchmarkSLORecord|BenchmarkSLOEvaluate|BenchmarkBlackboxAppend|BenchmarkBlackboxAppendDisarmed|BenchmarkIncidentReplay|BenchmarkSpanStart|BenchmarkSpanFinish|BenchmarkSpanStartFinish|BenchmarkSpanChildStartFinish|BenchmarkContextEncode|BenchmarkContextParse|BenchmarkTraceAssembly|BenchmarkKVPutCodec|BenchmarkClientPutBinary|BenchmarkClientPutJSON
+BENCH_GATE := BenchmarkAllocateRunner|BenchmarkKVStoreAggregation|BenchmarkAssessCold|BenchmarkAssessWarm|BenchmarkSLORecord|BenchmarkSLOEvaluate|BenchmarkBlackboxAppend|BenchmarkBlackboxAppendDisarmed|BenchmarkIncidentReplay|BenchmarkSpanStart|BenchmarkSpanFinish|BenchmarkSpanStartFinish|BenchmarkSpanChildStartFinish|BenchmarkContextEncode|BenchmarkContextParse|BenchmarkTraceAssembly|BenchmarkKVPutCodec|BenchmarkClientPutBinary|BenchmarkClientPutJSON
 BENCH_GATE_PKGS := . ./internal/risk/ ./internal/slo/ ./internal/obs/trace/ ./schema/v1/ ./internal/kvstore/
 
 # Five samples of each into .bench-fresh/BENCH.txt (go test runs benchmark

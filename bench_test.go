@@ -200,13 +200,36 @@ func BenchmarkStatefulMeter(b *testing.B) {
 }
 
 // BenchmarkKVStoreAggregation measures the SumPrefix an agent issues per
-// cycle, over 10k published host rates.
+// cycle. dirs=1: 10k published host rates, all in the queried flow set.
+// fleet_large: the end-to-end workload's store, 7168 keys of 31 other flow
+// sets (62 directories, total and conforming rates) beside the queried flow
+// set's 512 hosts × 2 keys — a store that scans every key per query is ~70×
+// slower here than one that visits only the flow set.
 func BenchmarkKVStoreAggregation(b *testing.B) {
-	s := kvstore.New()
-	for i := 0; i < 10000; i++ {
-		s.Put(kvstore.RateKey("Cold", "c4_low", "A", hostName(i)), 1e9, 0)
-	}
 	prefix := kvstore.RatePrefix("Cold", "c4_low", "A")
+	b.Run("dirs=1", func(b *testing.B) {
+		s := kvstore.New()
+		for i := 0; i < 10000; i++ {
+			s.Put(kvstore.RateKey("Cold", "c4_low", "A", hostName(i)), 1e9, 0)
+		}
+		benchSumPrefix(b, s, prefix)
+	})
+	b.Run("fleet_large", func(b *testing.B) {
+		s := kvstore.New()
+		for k := 0; k < 7168/2; k++ {
+			npg, h := "Cold-bg"+hostName(k%31), "b"+hostName(k/31)
+			s.Put(kvstore.RateKey(npg, "c4_low", "A", h), 1e9, 0)
+			s.Put("conform/"+npg+"/c4_low/A/"+h, 1e9, 0)
+		}
+		for i := 0; i < 512; i++ {
+			s.Put(kvstore.RateKey("Cold", "c4_low", "A", hostName(i)), 1e9, 30*time.Second)
+			s.Put("conform/Cold/c4_low/A/"+hostName(i), 1e9, 30*time.Second)
+		}
+		benchSumPrefix(b, s, prefix)
+	})
+}
+
+func benchSumPrefix(b *testing.B, s *kvstore.Store, prefix string) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := s.SumPrefix(prefix); err != nil {

@@ -118,6 +118,11 @@ type spanSetter interface{ SetSpan(trace.Context) }
 type Agent struct {
 	cfg AgentConfig
 	key bpf.MapKey
+	// The rate-store keys this host publishes under and the prefixes it
+	// aggregates, built once: the identity fields they derive from never
+	// change after NewAgent.
+	rateKey, conformKey       string
+	ratePrefix, conformPrefix string
 
 	// Last-known-good cache for degraded-mode cycles: the newest aggregate
 	// and contract answers that actually arrived, stamped with when.
@@ -162,9 +167,14 @@ func NewAgent(cfg AgentConfig) (*Agent, error) {
 	if cfg.StalenessBudget <= 0 {
 		cfg.StalenessBudget = 3 * cfg.RateTTL
 	}
+	npg, class, region := string(cfg.NPG), cfg.Class.String(), string(cfg.Region)
 	a := &Agent{
-		cfg: cfg,
-		key: bpf.MapKey{NPG: cfg.NPG, Class: cfg.Class, Region: cfg.Region},
+		cfg:           cfg,
+		key:           bpf.MapKey{NPG: cfg.NPG, Class: cfg.Class, Region: cfg.Region},
+		rateKey:       kvstore.RateKey(npg, class, region, cfg.Host),
+		conformKey:    conformRateKey(npg, class, region, cfg.Host),
+		ratePrefix:    kvstore.RatePrefix(npg, class, region),
+		conformPrefix: conformRatePrefix(npg, class, region),
 	}
 	if ss, ok := cfg.DB.(spanSetter); ok {
 		a.dbSpan = ss
@@ -359,14 +369,13 @@ func (a *Agent) cycle(now time.Time, localTotal, localConform float64, tc trace.
 	var rep CycleReport
 	// 1. Publish this host's rates (best effort: losing one publish only
 	// fades this host out of the remote aggregate once its TTL passes).
-	npg, class, region := string(a.cfg.NPG), a.cfg.Class.String(), string(a.cfg.Region)
 	pub := a.startPhase(tc, "kv.publish", a.ratesSpan)
-	if err := a.cfg.Rates.Put(kvstore.RateKey(npg, class, region, a.cfg.Host), localTotal, a.cfg.RateTTL); err != nil {
+	if err := a.cfg.Rates.Put(a.rateKey, localTotal, a.cfg.RateTTL); err != nil {
 		mPublishFails.Inc()
 		rep.fault("publish total", err)
 		pub.SetError(err)
 	}
-	if err := a.cfg.Rates.Put(conformRateKey(npg, class, region, a.cfg.Host), localConform, a.cfg.RateTTL); err != nil {
+	if err := a.cfg.Rates.Put(a.conformKey, localConform, a.cfg.RateTTL); err != nil {
 		mPublishFails.Inc()
 		rep.fault("publish conform", err)
 		pub.SetError(err)
@@ -374,8 +383,8 @@ func (a *Agent) cycle(now time.Time, localTotal, localConform float64, tc trace.
 	pub.Finish()
 	// 2. Read the service-wide aggregates; cache on success.
 	agg := a.startPhase(tc, "kv.aggregate", a.ratesSpan)
-	total, errTotal := a.cfg.Rates.SumPrefix(kvstore.RatePrefix(npg, class, region))
-	conform, errConform := a.cfg.Rates.SumPrefix(conformRatePrefix(npg, class, region))
+	total, errTotal := a.cfg.Rates.SumPrefix(a.ratePrefix)
+	conform, errConform := a.cfg.Rates.SumPrefix(a.conformPrefix)
 	switch {
 	case errTotal == nil && errConform == nil:
 		a.aggAt, a.aggOK = now, true

@@ -221,6 +221,25 @@ func TestAgentCycleAggregatesAcrossHosts(t *testing.T) {
 	}
 }
 
+// TestAgentCycleAllocs pins the allocations of one in-process cycle: the
+// rate-store keys and prefixes are built once in NewAgent, not per cycle
+// (which cost 20 more). What remains is the cycle's trace: finished spans,
+// their annotations and the trace ID.
+func TestAgentCycleAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	a, _, _ := agentFixture(t, 5e12)
+	now := tStart.Add(time.Hour)
+	if _, err := a.Cycle(now, 10e12, 10e12); err != nil {
+		t.Fatal(err)
+	}
+	const want = 12
+	if got := testing.AllocsPerRun(200, func() { a.Cycle(now, 10e12, 10e12) }); got > want {
+		t.Errorf("Agent.Cycle allocates %.0f/op, want at most %d", got, want)
+	}
+}
+
 func TestAgentCycleNoContractFailsOpen(t *testing.T) {
 	a, prog, _ := agentFixture(t, 5e12)
 	// After the enforcement period: no active entitlement.

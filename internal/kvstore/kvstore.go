@@ -15,6 +15,7 @@ import (
 	"math"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"entitlement/internal/obs/trace"
@@ -37,22 +38,48 @@ type RateStore interface {
 	Delete(key string) error
 }
 
-// entry is one stored value. It carries its own map key so Put can intern:
-// a repeat publish looks the old entry up first and reuses its stored key,
-// which keeps the server's put path allocation-free even when the incoming
-// key aliases a reused frame buffer (map lookups with string(bytes)-style
-// keys don't allocate; only genuinely new keys are cloned).
+// entry is one stored value, under its directory (see dir).
 type entry struct {
-	key     string
+	leaf    string
 	value   float64
 	expires time.Time // zero = never
 }
 
+// live reports whether e is unexpired at now.
+func (e *entry) live(now time.Time) bool {
+	return e.expires.IsZero() || !now.After(e.expires)
+}
+
+// dir holds the entries of one directory: every key whose text up to and
+// including its last '/' is path. A flow set's keys share one directory
+// (RatePrefix is one), so its aggregate reads one slice. ents is kept
+// dense by swap-removal, and slot maps a leaf to its index in ents.
+type dir struct {
+	path string
+	slot map[string]int
+	ents []entry
+}
+
+// split cuts key after its last '/': the directory path and the leaf. A key
+// without '/' lives in the "" directory; one ending in '/' has leaf "".
+func split(key string) (path, leaf string) {
+	i := strings.LastIndexByte(key, '/') + 1
+	return key[:i], key[i:]
+}
+
 // Store is the in-memory implementation. The zero value is not usable; call
 // New. Time is injectable so simulations control expiry deterministically.
+//
+// Entries are indexed by directory (see dir), so SumPrefix visits the
+// directories related to its prefix instead of every key in the store.
+// Paths and leaves are interned: a directory's path is cloned when the
+// directory is created and a leaf when it is new, so a steady republish
+// allocates nothing and a key aliasing a caller's buffer (a wire frame) is
+// never retained.
 type Store struct {
 	mu   sync.RWMutex
-	data map[string]entry
+	dirs map[string]*dir
+	n    atomic.Int64 // entries across dirs; written under mu, read without
 	now  func() time.Time
 }
 
@@ -61,7 +88,7 @@ func New() *Store { return NewWithClock(time.Now) }
 
 // NewWithClock creates a store with an injected clock.
 func NewWithClock(now func() time.Time) *Store {
-	return &Store{data: make(map[string]entry), now: now}
+	return &Store{dirs: make(map[string]*dir), now: now}
 }
 
 // Put implements RateStore. A non-positive ttl stores the value without
@@ -70,43 +97,73 @@ func (s *Store) Put(key string, value float64, ttl time.Duration) error {
 	if key == "" {
 		return fmt.Errorf("kvstore: empty key")
 	}
+	path, leaf := split(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e := entry{value: value}
+	var expires time.Time
 	if ttl > 0 {
-		e.expires = s.now().Add(ttl)
+		expires = s.now().Add(ttl)
 	}
-	// Intern the key (see entry): steady-state republishes hit the lookup
-	// and reuse the stored key; only first-time keys are cloned. The clone
-	// also protects the map when key aliases a caller-owned buffer.
-	if old, ok := s.data[key]; ok {
-		e.key = old.key
-	} else {
-		e.key = strings.Clone(key)
+	d := s.dirs[path]
+	if d == nil {
+		d = &dir{path: strings.Clone(path), slot: make(map[string]int)}
+		s.dirs[d.path] = d
 	}
-	s.data[e.key] = e
+	if i, ok := d.slot[leaf]; ok {
+		d.ents[i].value, d.ents[i].expires = value, expires
+		return nil
+	}
+	leaf = strings.Clone(leaf)
+	d.slot[leaf] = len(d.ents)
+	d.ents = append(d.ents, entry{leaf: leaf, value: value, expires: expires})
+	s.n.Add(1)
 	return nil
 }
 
 // Get implements RateStore.
 func (s *Store) Get(key string) (float64, bool, error) {
+	path, leaf := split(key)
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	e, ok := s.data[key]
-	if !ok || s.expired(e) {
+	d := s.dirs[path]
+	if d == nil {
 		return 0, false, nil
 	}
-	return e.value, true, nil
+	i, ok := d.slot[leaf]
+	if !ok || !d.ents[i].live(s.now()) {
+		return 0, false, nil
+	}
+	return d.ents[i].value, true, nil
 }
 
-// SumPrefix implements RateStore.
+// SumPrefix implements RateStore. It is exact — the entries a scan of every
+// key would match, with expiry decided at one clock reading — but visits
+// only the directories related to prefix: one whose path starts with prefix
+// is summed whole, one whose path is a proper prefix of prefix is filtered
+// by leaf on the rest, and every other directory is skipped. Within a
+// directory entries are added in slot order, so a prefix that covers one
+// directory sums bit-identically on stores fed the same operations; across
+// directories the order follows the map and is not fixed.
 func (s *Store) SumPrefix(prefix string) (float64, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
+	now := s.now()
 	sum := 0.0
-	for k, e := range s.data {
-		if strings.HasPrefix(k, prefix) && !s.expired(e) {
-			sum += e.value
+	for path, d := range s.dirs {
+		switch {
+		case strings.HasPrefix(path, prefix):
+			for i := range d.ents {
+				if d.ents[i].live(now) {
+					sum += d.ents[i].value
+				}
+			}
+		case strings.HasPrefix(prefix, path):
+			rest := prefix[len(path):]
+			for i := range d.ents {
+				if strings.HasPrefix(d.ents[i].leaf, rest) && d.ents[i].live(now) {
+					sum += d.ents[i].value
+				}
+			}
 		}
 	}
 	return sum, nil
@@ -114,37 +171,56 @@ func (s *Store) SumPrefix(prefix string) (float64, error) {
 
 // Delete implements RateStore.
 func (s *Store) Delete(key string) error {
+	path, leaf := split(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	delete(s.data, key)
+	if d := s.dirs[path]; d != nil {
+		if i, ok := d.slot[leaf]; ok {
+			s.remove(d, i)
+		}
+	}
 	return nil
 }
 
-// Len returns the number of stored entries, including expired ones not yet
-// compacted — the footprint a leaky deployment would grow without bound.
-func (s *Store) Len() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.data)
+// remove swap-removes d.ents[i] and drops d once it is empty. Caller holds
+// the write lock.
+func (s *Store) remove(d *dir, i int) {
+	last := len(d.ents) - 1
+	delete(d.slot, d.ents[i].leaf)
+	if i != last {
+		d.ents[i] = d.ents[last]
+		d.slot[d.ents[i].leaf] = i
+	}
+	d.ents[last] = entry{}
+	d.ents = d.ents[:last]
+	if last == 0 {
+		delete(s.dirs, d.path)
+	}
+	s.n.Add(-1)
 }
+
+// Len returns the number of stored entries, including expired ones not yet
+// compacted — the footprint a leaky deployment would grow without bound. It
+// takes no lock.
+func (s *Store) Len() int { return int(s.n.Load()) }
 
 // Compact removes expired entries; long-running deployments should call it
 // periodically.
 func (s *Store) Compact() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	now := s.now()
 	removed := 0
-	for k, e := range s.data {
-		if s.expired(e) {
-			delete(s.data, k)
-			removed++
+	for _, d := range s.dirs {
+		// Backwards, so a swap-remove only moves an entry already checked.
+		for i := len(d.ents) - 1; i >= 0; i-- {
+			if !d.ents[i].live(now) {
+				s.remove(d, i)
+				removed++
+			}
 		}
 	}
 	return removed
-}
-
-func (s *Store) expired(e entry) bool {
-	return !e.expires.IsZero() && s.now().After(e.expires)
 }
 
 // --- TCP server/client ----------------------------------------------------

@@ -350,10 +350,13 @@ func TestServerClampsWireTTL(t *testing.T) {
 func (s *Store) Keys(prefix string) []string {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
+	now := s.now()
 	var out []string
-	for k, e := range s.data {
-		if strings.HasPrefix(k, prefix) && !s.expired(e) {
-			out = append(out, k)
+	for path, d := range s.dirs {
+		for i := range d.ents {
+			if k := path + d.ents[i].leaf; strings.HasPrefix(k, prefix) && d.ents[i].live(now) {
+				out = append(out, k)
+			}
 		}
 	}
 	sort.Strings(out)
