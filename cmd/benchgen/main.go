@@ -10,6 +10,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -20,11 +21,22 @@ import (
 )
 
 func main() {
-	figure := flag.String("figure", "", "only regenerate figures whose name contains this substring")
-	csvDir := flag.String("csv", "", "write one CSV per figure into this directory")
-	points := flag.Int("points", 12, "series points to print per curve (text mode)")
-	scale := flag.String("scale", "full", "experiment scale: small or full")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		fmt.Fprintf(os.Stderr, "benchgen: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("benchgen", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	figure := fs.String("figure", "", "only regenerate figures whose name contains this substring")
+	csvDir := fs.String("csv", "", "write one CSV per figure into this directory")
+	points := fs.Int("points", 12, "series points to print per curve (text mode)")
+	scale := fs.String("scale", "full", "experiment scale: small or full")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	drillScale := experiments.DefaultDrillScale()
 	if *scale == "small" {
@@ -69,28 +81,28 @@ func main() {
 		}
 		if *csvDir != "" {
 			if err := writeCSV(*csvDir, r); err != nil {
-				fmt.Fprintf(os.Stderr, "benchgen: %v\n", err)
-				os.Exit(1)
+				return err
 			}
-			fmt.Printf("wrote %s\n", filepath.Join(*csvDir, r.Name+".csv"))
+			fmt.Fprintf(stdout, "wrote %s\n", filepath.Join(*csvDir, r.Name+".csv"))
 			continue
 		}
-		printResult(r, *points)
+		printResult(stdout, r, *points)
 	}
+	return nil
 }
 
-func printResult(r *experiments.Result, points int) {
-	fmt.Printf("=== %s — %s\n", r.Name, r.Caption)
+func printResult(w io.Writer, r *experiments.Result, points int) {
+	fmt.Fprintf(w, "=== %s — %s\n", r.Name, r.Caption)
 	keys := make([]string, 0, len(r.Headline))
 	for k := range r.Headline {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
 	for _, k := range keys {
-		fmt.Printf("    %-36s %g\n", k, r.Headline[k])
+		fmt.Fprintf(w, "    %-36s %g\n", k, r.Headline[k])
 	}
 	for _, s := range r.Series {
-		fmt.Printf("  %s:\n", s.Label)
+		fmt.Fprintf(w, "  %s:\n", s.Label)
 		n := len(s.X)
 		step := 1
 		if points > 0 && n > points {
@@ -103,9 +115,9 @@ func printResult(r *experiments.Result, points int) {
 		if (n-1)%step != 0 {
 			fmt.Fprintf(&sb, " (%.4g, %.4g)", s.X[n-1], s.Y[n-1])
 		}
-		fmt.Printf("   %s\n", strings.TrimSpace(sb.String()))
+		fmt.Fprintf(w, "   %s\n", strings.TrimSpace(sb.String()))
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 }
 
 func writeCSV(dir string, r *experiments.Result) error {
