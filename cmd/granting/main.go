@@ -19,7 +19,6 @@ import (
 
 	"entitlement/internal/approval"
 	"entitlement/internal/contract"
-	"entitlement/internal/contractdb"
 	"entitlement/internal/core"
 	"entitlement/internal/forecast"
 	"entitlement/internal/granting"
@@ -104,32 +103,31 @@ func run(regions, tail, days int, rateTbps, slo float64, scenarios, workers int,
 	}
 
 	start := time.Date(2026, 5, 1, 0, 0, 0, 0, time.UTC)
-	opts := core.DefaultOptions(start)
+	opts := core.DefaultOptions()
 	opts.HighTouch = highTouch
-	opts.DefaultSLO = contract.SLO(slo)
 	opts.SLIKind = map[contract.NPG]forecast.SLIKind{
 		"Warmstorage": forecast.SLIMaxAvg6h,
 		"Coldstorage": forecast.SLIMaxAvg6h,
 		"Ads":         forecast.SLIDailyP99,
 	}
 	opts.MinPipeRate = 1e9
-	opts.Approval = approval.Options{
-		RepresentativeTMs: 4,
-		DefaultSLO:        opts.DefaultSLO,
-		Risk:              risk.Options{Scenarios: scenarios, Seed: seed + 2, Workers: workers},
-		Seed:              seed + 3,
+	gopts := granting.Options{
+		Approval: approval.Options{
+			RepresentativeTMs: 4,
+			DefaultSLO:        contract.SLO(slo),
+			Risk:              risk.Options{Scenarios: scenarios, Seed: seed + 2, Workers: workers},
+			Seed:              seed + 3,
+		},
+		PeriodDays: forecast.QuarterDays,
 	}
 
 	// Steps 1–2: forecast and hose representation.
-	db := contractdb.NewStore()
-	fw := core.New(topo, db)
 	t0 := time.Now()
-	rep, err := fw.PrepareRequests(ds, opts)
+	rep, err := core.PrepareRequests(topo, ds, opts)
 	if err != nil {
 		return err
 	}
 	reqs := core.GrantRequests(rep.Hoses, opts, start.Unix())
-	gopts := granting.Options{Approval: opts.Approval, PeriodDays: forecast.QuarterDays}
 
 	// Step 3: admission — in-process or via a running grantd.
 	var decs []granting.Decision

@@ -9,8 +9,11 @@
 package main
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"time"
 
 	"entitlement/internal/approval"
@@ -19,6 +22,7 @@ import (
 	"entitlement/internal/contractdb"
 	"entitlement/internal/core"
 	"entitlement/internal/enforce"
+	"entitlement/internal/granting"
 	"entitlement/internal/kvstore"
 	"entitlement/internal/risk"
 	"entitlement/internal/topology"
@@ -26,6 +30,12 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer) error {
 	// 1. A small heterogeneous backbone.
 	topoOpts := topology.DefaultBackboneOptions()
 	topoOpts.Regions = 5
@@ -33,9 +43,9 @@ func main() {
 	topoOpts.MaxCapGbps = 8000
 	topo, err := topology.Backbone(topoOpts)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("backbone: %d regions, %.0f Tbps total capacity\n",
+	fmt.Fprintf(w, "backbone: %d regions, %.0f Tbps total capacity\n",
 		topo.NumRegions(), topo.TotalCapacity()/1e12)
 
 	// 2. Ninety days of synthetic history for the dominant services.
@@ -45,28 +55,48 @@ func main() {
 		Days: 90, Step: time.Hour, Seed: 1,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
-	// 3. Establish contracts for the next quarter.
-	db := contractdb.NewStore()
-	fw := core.New(topo, db)
+	// 3. Establish contracts for the next quarter: forecast and hoses, one
+	// decision pass, and every granted contract into the database.
 	start := time.Date(2026, 7, 1, 0, 0, 0, 0, time.UTC)
-	opts := core.DefaultOptions(start)
+	opts := core.DefaultOptions()
 	opts.MinPipeRate = 5e9
-	opts.Approval = approval.Options{
-		RepresentativeTMs: 3,
-		Risk:              risk.Options{Scenarios: 40, Seed: 2},
-		Seed:              3,
-	}
-	rep, err := fw.EstablishContracts(history, opts)
+	rep, err := core.PrepareRequests(topo, history, opts)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("granted %d contracts (%.0f%% of requested bandwidth approved)\n",
-		len(rep.Contracts), 100*rep.Approval.ApprovalFraction())
-	for _, c := range rep.Contracts[:min(3, len(rep.Contracts))] {
-		fmt.Printf("  e.g. %s: SLO %.3f, %d entitlements\n", c.NPG, float64(c.SLO), len(c.Entitlements))
+	decs, err := granting.DecideBatch(topo, core.GrantRequests(rep.Hoses, opts, start.Unix()), granting.Options{
+		Approval: approval.Options{
+			RepresentativeTMs: 3,
+			DefaultSLO:        0.999,
+			Risk:              risk.Options{Scenarios: 40, Seed: 2},
+			Seed:              3,
+		},
+	})
+	if err != nil {
+		return err
+	}
+	db := contractdb.NewStore()
+	var contracts []contract.Contract
+	var requested, approved float64
+	for _, d := range decs {
+		for _, h := range d.Hoses {
+			requested += h.Requested
+			approved += h.Approved
+		}
+		if d.Contract != nil {
+			if err := db.Put(*d.Contract); err != nil {
+				return err
+			}
+			contracts = append(contracts, *d.Contract)
+		}
+	}
+	fmt.Fprintf(w, "granted %d contracts (%.0f%% of requested bandwidth approved)\n",
+		len(contracts), 100*approved/requested)
+	for _, c := range contracts[:min(3, len(contracts))] {
+		fmt.Fprintf(w, "  e.g. %s: SLO %.3f, %d entitlements\n", c.NPG, float64(c.SLO), len(c.Entitlements))
 	}
 
 	// 4. Run-time enforcement: three Coldstorage hosts sharing a rate store,
@@ -76,14 +106,14 @@ func main() {
 	var entitled float64
 	cold, ok := db.Get("Coldstorage")
 	if !ok {
-		log.Fatal("no Coldstorage contract")
+		return errors.New("no Coldstorage contract")
 	}
 	for _, e := range cold.Entitlements {
 		if e.Direction == contract.Egress && e.Rate > entitled {
 			entitled, coldRegion = e.Rate, e.Region
 		}
 	}
-	fmt.Printf("\nenforcing Coldstorage egress in %s: entitled %.0f Gbps\n", coldRegion, entitled/1e9)
+	fmt.Fprintf(w, "\nenforcing Coldstorage egress in %s: entitled %.0f Gbps\n", coldRegion, entitled/1e9)
 
 	rates := kvstore.New()
 	type hostState struct {
@@ -102,7 +132,7 @@ func main() {
 			Policy: enforce.HostBased,
 		})
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		hostsState = append(hostsState, hostState{agent: agent, prog: prog, id: id})
 	}
@@ -111,7 +141,7 @@ func main() {
 		for _, h := range hostsState {
 			rep, err := h.agent.Cycle(now, perHost, perHost)
 			if err != nil {
-				log.Fatal(err)
+				return err
 			}
 			if cycle == 3 {
 				// Show the programmed kernel action and a sample packet.
@@ -120,18 +150,12 @@ func main() {
 					Region: coldRegion, Host: h.id, FlowHash: 7, Bytes: 1500,
 					DSCP: bpf.DSCPForClass(cold.Entitlements[0].Class),
 				})
-				fmt.Printf("  %s: ratio %.2f → %d/100 groups non-conforming; sample packet DSCP %d (%s)\n",
+				fmt.Fprintf(w, "  %s: ratio %.2f → %d/100 groups non-conforming; sample packet DSCP %d (%s)\n",
 					h.id, rep.ConformRatio, rep.NonConformGroups, pkt.DSCP,
 					map[bool]string{true: "remarked", false: "conforming"}[bpf.IsNonConforming(pkt)])
 			}
 		}
 	}
-	fmt.Println("\nquickstart complete: contracts granted, over-entitlement traffic marked.")
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
+	fmt.Fprintln(w, "\nquickstart complete: contracts granted, over-entitlement traffic marked.")
+	return nil
 }

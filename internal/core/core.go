@@ -7,21 +7,22 @@
 //  2. Contract representation (internal/hose): pipes aggregate into hoses,
 //     segmented with Algorithm 1 using the observed per-destination
 //     deployment structure, then ingress/egress balanced (§8).
-//  3. Contract approval (internal/approval + internal/risk): SLO-aware
-//     granting against the backbone topology.
-//  4. Runtime enforcement: the approved contracts land in the contract
+//  3. Contract approval (internal/granting.DecideBatch over internal/approval
+//     and internal/risk): SLO-aware granting against the backbone topology,
+//     with §8's counter-proposals for what it cannot grant.
+//  4. Runtime enforcement: each Decision.Contract lands in the contract
 //     database that the distributed agents (internal/enforce) query.
+//
+// This package owns steps 1–2 (PrepareRequests) and the bridge into step 3
+// (GrantRequests); every contract is decided and built by internal/granting.
 package core
 
 import (
 	"errors"
 	"fmt"
 	"sort"
-	"time"
 
-	"entitlement/internal/approval"
 	"entitlement/internal/contract"
-	"entitlement/internal/contractdb"
 	"entitlement/internal/forecast"
 	"entitlement/internal/granting"
 	"entitlement/internal/hose"
@@ -38,34 +39,21 @@ type Options struct {
 	// forecast.SLIDailyMean ("different services need different types of
 	// daily data", §4.1).
 	SLIKind map[contract.NPG]forecast.SLIKind
-	// SLO maps NPGs to their availability targets; unlisted NPGs use
-	// DefaultSLO.
-	SLO        map[contract.NPG]contract.SLO
-	DefaultSLO contract.SLO
+	// SLO maps NPGs to their availability targets; GrantRequests puts them
+	// on the requests, and unlisted NPGs get the granting engine's default.
+	SLO map[contract.NPG]contract.SLO
 	// HighTouch lists the services entitled individually; every other NPG
 	// aggregates into trace.LowTouchNPG. A nil map treats every NPG as
 	// high-touch.
 	HighTouch map[contract.NPG]bool
-	// Approval configures the granting engine.
-	Approval approval.Options
-	// PeriodStart begins the enforcement period; it runs for
-	// forecast.QuarterDays days.
-	PeriodStart time.Time
 	// MinPipeRate drops forecast pipes below this rate (bits/s) to keep
 	// the approval problem tractable; 0 keeps everything.
 	MinPipeRate float64
-	// Segment enables segmented-hose contracts (the production default).
-	Segment bool
 }
 
 // DefaultOptions returns a workable configuration for synthetic workloads.
-func DefaultOptions(start time.Time) Options {
-	return Options{
-		Prophet:     forecast.ProphetOptions{Changepoints: 4, WeeklyOrder: 2},
-		DefaultSLO:  0.999,
-		PeriodStart: start,
-		Segment:     true,
-	}
+func DefaultOptions() Options {
+	return Options{Prophet: forecast.ProphetOptions{Changepoints: 4, WeeklyOrder: 2}}
 }
 
 // PipeForecast is one forecast pipe with its monthly demand detail.
@@ -74,30 +62,12 @@ type PipeForecast struct {
 	Monthly [3]float64
 }
 
-// Report is the outcome of one entitlement round.
+// Report is the demand side of one entitlement round.
 type Report struct {
 	// Pipes are the forecast SLI demands (step 1).
 	Pipes []PipeForecast
-	// Hoses are the (segmented, balanced) contract representations (step 2).
+	// Hoses are the segmented, balanced contract representations (step 2).
 	Hoses []hose.Request
-	// Approval is the granting outcome (step 3).
-	Approval *approval.Result
-	// Proposals are counter-proposals for under-approved hoses (§8).
-	Proposals []approval.CounterProposal
-	// Contracts are the final stored contracts (step 4's input).
-	Contracts []contract.Contract
-}
-
-// Framework wires a topology and contract database into the entitlement
-// process.
-type Framework struct {
-	Topo *topology.Topology
-	DB   *contractdb.Store
-}
-
-// New creates a framework over the given backbone and database.
-func New(topo *topology.Topology, db *contractdb.Store) *Framework {
-	return &Framework{Topo: topo, DB: db}
 }
 
 // effectiveNPG applies the high-touch/low-touch grouping.
@@ -108,15 +78,13 @@ func effectiveNPG(npg contract.NPG, highTouch map[contract.NPG]bool) contract.NP
 	return trace.LowTouchNPG
 }
 
-// PrepareRequests runs steps 1–2 of the granting pipeline — demand forecast
-// and segmented/balanced hose representation — and returns a report with
-// Pipes and Hoses filled. It is the demand side of the process, split out so
-// online admission (cmd/grantd, cmd/granting -submit) can prepare requests
-// once and route the decision through the granting service instead of the
-// in-process approval below.
-func (f *Framework) PrepareRequests(history *trace.DemandSet, opts Options) (*Report, error) {
-	if f.Topo == nil {
-		return nil, errors.New("core: framework missing topology")
+// PrepareRequests runs steps 1–2 of the granting pipeline over a backbone —
+// demand forecast and segmented/balanced hose representation. GrantRequests
+// turns the hoses into the requests granting.DecideBatch (in-process or
+// behind grantd) decides.
+func PrepareRequests(topo *topology.Topology, history *trace.DemandSet, opts Options) (*Report, error) {
+	if topo == nil {
+		return nil, errors.New("core: missing topology")
 	}
 	if history == nil || len(history.Flows) == 0 {
 		return nil, errors.New("core: empty demand history")
@@ -199,19 +167,17 @@ func (f *Framework) PrepareRequests(history *trace.DemandSet, opts Options) (*Re
 		pipes[i] = report.Pipes[i].Pipe
 	}
 	hoses := hose.AggregatePipes(pipes)
-	if opts.Segment {
-		for i := range hoses {
-			h := &hoses[i]
-			if h.Direction != contract.Egress {
-				continue
-			}
-			if pd := perDst[hoseKey(h.NPG, h.Class, h.Region)]; len(pd) >= 2 {
-				*h = hose.SegmentHose(*h, pd)
-			}
+	for i := range hoses {
+		h := &hoses[i]
+		if h.Direction != contract.Egress {
+			continue
+		}
+		if pd := perDst[hoseKey(h.NPG, h.Class, h.Region)]; len(pd) >= 2 {
+			*h = hose.SegmentHose(*h, pd)
 		}
 	}
 	// Balance per class so global ingress equals egress (§8).
-	regions := f.Topo.RegionsSorted()
+	regions := topo.RegionsSorted()
 	byClass := make(map[contract.Class][]hose.Request)
 	var classes []contract.Class
 	for _, h := range hoses {
@@ -229,62 +195,20 @@ func (f *Framework) PrepareRequests(history *trace.DemandSet, opts Options) (*Re
 	return report, nil
 }
 
-// EstablishContracts runs the full granting pipeline on a demand history and
-// stores the resulting contracts in the database: PrepareRequests (steps
-// 1–2), then approval (step 3) and contracts into the database (step 4).
-func (f *Framework) EstablishContracts(history *trace.DemandSet, opts Options) (*Report, error) {
-	if f.Topo == nil || f.DB == nil {
-		return nil, errors.New("core: framework missing topology or database")
-	}
-	if opts.PeriodStart.IsZero() {
-		return nil, errors.New("core: missing period start")
-	}
-	report, err := f.PrepareRequests(history, opts)
-	if err != nil {
-		return nil, err
-	}
-
-	// --- Step 3: approval. ------------------------------------------------
-	apprOpts := opts.Approval
-	if apprOpts.SLOs == nil {
-		apprOpts.SLOs = opts.SLO
-	}
-	if apprOpts.DefaultSLO == 0 {
-		apprOpts.DefaultSLO = opts.DefaultSLO
-	}
-	res, err := approval.Approve(f.Topo, report.Hoses, apprOpts)
-	if err != nil {
-		return nil, fmt.Errorf("core: approval: %w", err)
-	}
-	report.Approval = res
-	report.Proposals = approval.Negotiate(res)
-
-	// --- Step 4: contracts into the database. -----------------------------
-	if err := f.storeContracts(report, opts); err != nil {
-		return nil, err
-	}
-	return report, nil
-}
-
 // GrantRequests groups prepared hoses per NPG into granting requests — the
 // bridge from the demand pipeline to the online admission service. Hoses
 // keep their prepared order inside each request; requests come out sorted by
 // NPG (the balancing filler rides along so the assessment matches the batch
 // pipeline's competition exactly). Every request opts into the §8
-// negotiation fallback, so contracts land at the admittable volume — the
-// same semantics as EstablishContracts' step 4, which stores approved rates
-// even for partially approved hoses.
+// negotiation fallback, so a partially approved request still gets a
+// contract, at the admittable volume of each hose.
 func GrantRequests(hoses []hose.Request, opts Options, startUnix int64) []granting.Request {
 	byNPG := make(map[contract.NPG]*granting.Request)
 	var npgs []contract.NPG
 	for _, h := range hoses {
 		r := byNPG[h.NPG]
 		if r == nil {
-			var slo contract.SLO
-			if s, ok := opts.SLO[h.NPG]; ok {
-				slo = s
-			}
-			r = &granting.Request{NPG: h.NPG, SLO: slo, StartUnix: startUnix, Negotiate: true}
+			r = &granting.Request{NPG: h.NPG, SLO: opts.SLO[h.NPG], StartUnix: startUnix, Negotiate: true}
 			byNPG[h.NPG] = r
 			npgs = append(npgs, h.NPG)
 		}
@@ -296,120 +220,4 @@ func GrantRequests(hoses []hose.Request, opts Options, startUnix int64) []granti
 		out = append(out, *byNPG[npg])
 	}
 	return out
-}
-
-// NegotiationRound records one automated negotiation iteration (§8:
-// "one straightforward way is to return back to service and reduce the
-// requested demand to try again").
-type NegotiationRound struct {
-	// Reduced lists hoses whose requests were cut to the counter-proposal.
-	Reduced []hose.Request
-	// ApprovalFraction after the round.
-	ApprovalFraction float64
-}
-
-// EstablishContractsNegotiated runs EstablishContracts and then up to
-// maxRounds automated negotiation rounds: every under-approved hose's
-// request is reduced to its admittable volume (the counter-proposal) and
-// approval re-runs, so the final contracts reflect rates the network
-// actually guarantees. The base report (with the original asks and their
-// proposals) and the per-round trail are returned alongside the final
-// report.
-func (f *Framework) EstablishContractsNegotiated(history *trace.DemandSet, opts Options, maxRounds int) (*Report, []NegotiationRound, error) {
-	if maxRounds < 0 {
-		return nil, nil, errors.New("core: negative negotiation rounds")
-	}
-	report, err := f.EstablishContracts(history, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	var rounds []NegotiationRound
-	current := report
-	for r := 0; r < maxRounds && len(current.Proposals) > 0; r++ {
-		// Apply counter-proposals: reduce each under-approved hose.
-		reducedBy := make(map[string]float64, len(current.Proposals))
-		for _, p := range current.Proposals {
-			reducedBy[p.Hose.Key()] = p.AdmittableRate
-		}
-		hoses := make([]hose.Request, len(current.Hoses))
-		var reduced []hose.Request
-		for i, h := range current.Hoses {
-			hoses[i] = h
-			if rate, ok := reducedBy[h.Key()]; ok && rate < h.Rate {
-				hoses[i].Rate = rate
-				reduced = append(reduced, hoses[i])
-			}
-		}
-		if len(reduced) == 0 {
-			break
-		}
-		apprOpts := opts.Approval
-		if apprOpts.SLOs == nil {
-			apprOpts.SLOs = opts.SLO
-		}
-		if apprOpts.DefaultSLO == 0 {
-			apprOpts.DefaultSLO = opts.DefaultSLO
-		}
-		res, err := approval.Approve(f.Topo, hoses, apprOpts)
-		if err != nil {
-			return nil, nil, fmt.Errorf("core: negotiation round %d: %w", r+1, err)
-		}
-		next := &Report{
-			Pipes:     current.Pipes,
-			Hoses:     hoses,
-			Approval:  res,
-			Proposals: approval.Negotiate(res),
-		}
-		rounds = append(rounds, NegotiationRound{
-			Reduced:          reduced,
-			ApprovalFraction: res.ApprovalFraction(),
-		})
-		current = next
-	}
-	if current != report {
-		// Re-store contracts from the final round.
-		if err := f.storeContracts(current, opts); err != nil {
-			return nil, nil, err
-		}
-	}
-	return current, rounds, nil
-}
-
-// storeContracts converts a report's approvals into contracts in the
-// database (step 4), shared by the plain and negotiated paths.
-func (f *Framework) storeContracts(report *Report, opts Options) error {
-	periodEnd := opts.PeriodStart.Add(forecast.QuarterDays * 24 * time.Hour)
-	byNPG := make(map[contract.NPG]*contract.Contract)
-	var npgs []contract.NPG
-	for i := range report.Approval.Approvals {
-		a := &report.Approval.Approvals[i]
-		if a.Request.NPG == hose.DummyNPG {
-			continue
-		}
-		c := byNPG[a.Request.NPG]
-		if c == nil {
-			slo := opts.DefaultSLO
-			if s, ok := opts.SLO[a.Request.NPG]; ok {
-				slo = s
-			}
-			c = &contract.Contract{NPG: a.Request.NPG, SLO: slo, Approved: true}
-			byNPG[a.Request.NPG] = c
-			npgs = append(npgs, a.Request.NPG)
-		}
-		c.Entitlements = append(c.Entitlements, contract.Entitlement{
-			NPG: a.Request.NPG, Class: a.Request.Class, Region: a.Request.Region,
-			Direction: a.Request.Direction, Rate: a.ApprovedRate,
-			Start: opts.PeriodStart, End: periodEnd,
-		})
-	}
-	sort.Slice(npgs, func(i, j int) bool { return npgs[i] < npgs[j] })
-	report.Contracts = report.Contracts[:0]
-	for _, npg := range npgs {
-		c := byNPG[npg]
-		if err := f.DB.Put(*c); err != nil {
-			return fmt.Errorf("core: store contract for %s: %w", npg, err)
-		}
-		report.Contracts = append(report.Contracts, *c)
-	}
-	return nil
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -9,6 +10,7 @@ import (
 	"entitlement/internal/contract"
 	"entitlement/internal/contractdb"
 	"entitlement/internal/forecast"
+	"entitlement/internal/granting"
 	"entitlement/internal/hose"
 	"entitlement/internal/risk"
 	"entitlement/internal/topology"
@@ -17,64 +19,97 @@ import (
 
 var periodStart = time.Date(2026, 4, 1, 0, 0, 0, 0, time.UTC)
 
-// fixture builds a small end-to-end setup: 5-region reliable backbone,
-// 120 days of history for a few services.
-func fixture(t *testing.T, tail int) (*Framework, *trace.DemandSet, Options) {
+// backbone builds a 5-region backbone with the given per-link capacity range
+// and 120 days of history for the dominant services plus tail long-tail ones.
+func backbone(t *testing.T, chords int, minGbps, maxGbps float64, tail int) (*topology.Topology, *trace.DemandSet) {
 	t.Helper()
 	topoOpts := topology.DefaultBackboneOptions()
 	topoOpts.Regions = 5
-	topoOpts.Chords = 4
-	topoOpts.MinCapGbps = 20000
-	topoOpts.MaxCapGbps = 40000
+	topoOpts.Chords = chords
+	topoOpts.MinCapGbps = minGbps
+	topoOpts.MaxCapGbps = maxGbps
 	topoOpts.LinkFail = 0.001
 	topo, err := topology.Backbone(topoOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	specs := trace.DefaultOntology(tail)
-	ds, err := trace.GenerateDemands(specs, trace.MatrixOptions{
+	ds, err := trace.GenerateDemands(trace.DefaultOntology(tail), trace.MatrixOptions{
 		Regions: topo.RegionsSorted(), TotalRate: 20e12,
 		Days: 120, Step: time.Hour, Seed: 3,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := DefaultOptions(periodStart)
-	opts.Approval = approval.Options{
-		RepresentativeTMs: 3,
-		Risk:              risk.Options{Scenarios: 20, Seed: 5},
-		Seed:              7,
-	}
-	opts.MinPipeRate = 1e9
-	return New(topo, contractdb.NewStore()), ds, opts
+	return topo, ds
 }
 
-func TestEstablishContractsEndToEnd(t *testing.T) {
-	fw, ds, opts := fixture(t, 0)
-	rep, err := fw.EstablishContracts(ds, opts)
+// fixture is a reliable, amply provisioned backbone.
+func fixture(t *testing.T, tail int) (*topology.Topology, *trace.DemandSet, Options) {
+	t.Helper()
+	topo, ds := backbone(t, 4, 20000, 40000, tail)
+	opts := DefaultOptions()
+	opts.MinPipeRate = 1e9
+	return topo, ds, opts
+}
+
+// establish runs the one pipeline by which contracts are established —
+// PrepareRequests, GrantRequests, granting.DecideBatch — and stores every
+// decision's contract, as cmd/granting, grantd and the examples do.
+func establish(t *testing.T, topo *topology.Topology, ds *trace.DemandSet, opts Options) (*Report, []granting.Decision, *contractdb.Store) {
+	t.Helper()
+	rep, err := PrepareRequests(topo, ds, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Pipes) == 0 || len(rep.Hoses) == 0 || len(rep.Contracts) == 0 {
-		t.Fatalf("incomplete report: %d pipes, %d hoses, %d contracts",
-			len(rep.Pipes), len(rep.Hoses), len(rep.Contracts))
+	decs, err := granting.DecideBatch(topo, GrantRequests(rep.Hoses, opts, periodStart.Unix()), granting.Options{
+		Approval: approval.Options{
+			RepresentativeTMs: 3,
+			DefaultSLO:        0.999,
+			Risk:              risk.Options{Scenarios: 20, Seed: 5},
+			Seed:              7,
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Every contract validates and is retrievable from the database.
-	for _, c := range rep.Contracts {
+	db := contractdb.NewStore()
+	for _, d := range decs {
+		if d.Contract != nil {
+			if err := db.Put(*d.Contract); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return rep, decs, db
+}
+
+func TestEstablishContractsEndToEnd(t *testing.T) {
+	topo, ds, opts := fixture(t, 0)
+	rep, decs, db := establish(t, topo, ds, opts)
+	if len(rep.Pipes) == 0 || len(rep.Hoses) == 0 || len(decs) == 0 {
+		t.Fatalf("incomplete pipeline: %d pipes, %d hoses, %d decisions", len(rep.Pipes), len(rep.Hoses), len(decs))
+	}
+	contracts := 0
+	for _, d := range decs {
+		if d.NPG == hose.DummyNPG {
+			if d.Contract != nil {
+				t.Error("dummy balancing service got a contract")
+			}
+			continue
+		}
+		c := d.Contract
+		if c == nil {
+			t.Errorf("%s (%s) has no contract", d.NPG, d.Status)
+			continue
+		}
+		contracts++
 		if err := c.Validate(); err != nil {
 			t.Errorf("contract %s invalid: %v", c.NPG, err)
 		}
-		stored, ok := fw.DB.Get(c.NPG)
-		if !ok || !stored.Approved {
+		if stored, ok := db.Get(c.NPG); !ok || !stored.Approved {
 			t.Errorf("contract %s not stored/approved", c.NPG)
 		}
-	}
-	// No contract for the balancing dummy.
-	if _, ok := fw.DB.Get(hose.DummyNPG); ok {
-		t.Error("dummy balancing service got a contract")
-	}
-	// Entitlement periods cover the quarter.
-	for _, c := range rep.Contracts {
+		// Entitlement periods cover the quarter.
 		for _, e := range c.Entitlements {
 			if !e.Start.Equal(periodStart) {
 				t.Errorf("entitlement start = %v", e.Start)
@@ -84,11 +119,17 @@ func TestEstablishContractsEndToEnd(t *testing.T) {
 			}
 		}
 	}
+	if contracts == 0 {
+		t.Error("no contracts")
+	}
+	if _, ok := db.Get(hose.DummyNPG); ok {
+		t.Error("dummy balancing service stored")
+	}
 }
 
 func TestEstablishContractsEgressHosesSegmented(t *testing.T) {
-	fw, ds, opts := fixture(t, 0)
-	rep, err := fw.EstablishContracts(ds, opts)
+	topo, ds, opts := fixture(t, 0)
+	rep, err := PrepareRequests(topo, ds, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,8 +145,8 @@ func TestEstablishContractsEgressHosesSegmented(t *testing.T) {
 }
 
 func TestEstablishContractsBalanced(t *testing.T) {
-	fw, ds, opts := fixture(t, 0)
-	rep, err := fw.EstablishContracts(ds, opts)
+	topo, ds, opts := fixture(t, 0)
+	rep, err := PrepareRequests(topo, ds, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,209 +172,119 @@ func TestEstablishContractsBalanced(t *testing.T) {
 }
 
 func TestEstablishContractsLowTouchGrouping(t *testing.T) {
-	fw, ds, opts := fixture(t, 10)
+	topo, ds, opts := fixture(t, 10)
 	// Only the big storage services are high-touch.
 	opts.HighTouch = map[contract.NPG]bool{
 		"Logging": true, "Warmstorage": true, "Coldstorage": true,
 		"Datawarehouse": true, "MultiFeed": true, "Everstore": true, "Ads": true,
 	}
-	rep, err := fw.EstablishContracts(ds, opts)
+	rep, err := PrepareRequests(topo, ds, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sawLowTouch := false
-	for _, c := range rep.Contracts {
-		if c.NPG == trace.LowTouchNPG {
-			sawLowTouch = true
-		}
-		// No tail service gets its own contract.
-		if len(c.NPG) > 5 && c.NPG[:5] == "tail-" {
-			t.Errorf("tail service %s has its own contract", c.NPG)
+	npgs := map[contract.NPG]bool{}
+	for _, h := range rep.Hoses {
+		if h.NPG != hose.DummyNPG {
+			npgs[h.NPG] = true
 		}
 	}
-	if !sawLowTouch {
-		t.Error("no aggregate low-touch contract")
+	if !npgs[trace.LowTouchNPG] {
+		t.Error("no aggregate low-touch hose")
+	}
+	for npg := range npgs {
+		if strings.HasPrefix(string(npg), "tail-") {
+			t.Errorf("tail service %s has its own hose", npg)
+		}
 	}
 	// Grouping caps the number of contracts at high-touch + 1.
-	if len(rep.Contracts) > 8 {
-		t.Errorf("contracts = %d, want <= 8", len(rep.Contracts))
+	if len(npgs) > 8 {
+		t.Errorf("hoses for %d NPGs, want <= 8", len(npgs))
 	}
 }
 
 func TestEstablishContractsEnforceableRates(t *testing.T) {
-	fw, ds, opts := fixture(t, 0)
-	rep, err := fw.EstablishContracts(ds, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Pick any egress approval and confirm the agent-facing query returns
-	// the same rate mid-period.
+	topo, ds, opts := fixture(t, 0)
+	_, decs, db := establish(t, topo, ds, opts)
+	// Every granted egress hose reads back from the agent-facing query at
+	// the decision's rate mid-period.
 	mid := periodStart.Add(30 * 24 * time.Hour)
-	found := false
-	for i := range rep.Approval.Approvals {
-		a := &rep.Approval.Approvals[i]
-		if a.Request.NPG == hose.DummyNPG || a.Request.Direction != contract.Egress {
+	checked := 0
+	for _, d := range decs {
+		if d.Contract == nil {
 			continue
 		}
-		rate, ok, err := fw.DB.EntitledRate(a.Request.NPG, a.Request.Class, a.Request.Region, contract.Egress, mid)
-		if err != nil {
-			t.Fatal(err)
+		for i := range d.Contract.Entitlements {
+			e := &d.Contract.Entitlements[i]
+			if e.Direction != contract.Egress {
+				continue
+			}
+			want := d.Hoses[i].Approved
+			if d.Status == granting.StatusApproved {
+				want = d.Hoses[i].Requested
+			}
+			rate, ok, err := db.EntitledRate(e.NPG, e.Class, e.Region, contract.Egress, mid)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				t.Errorf("no entitlement found for %s", d.Hoses[i].Key)
+				continue
+			}
+			if rate != want {
+				t.Errorf("%s: DB rate %v != decided %v", d.Hoses[i].Key, rate, want)
+			}
+			checked++
 		}
-		if !ok {
-			t.Errorf("no entitlement found for %s", a.Request.Key())
-			continue
-		}
-		if math.Abs(rate-a.ApprovedRate) > 1e-3 {
-			t.Errorf("%s: DB rate %v != approved %v", a.Request.Key(), rate, a.ApprovedRate)
-		}
-		found = true
 	}
-	if !found {
-		t.Error("no egress approvals to check")
+	if checked == 0 {
+		t.Error("no egress entitlements to check")
 	}
 }
 
 func TestEstablishContractsValidation(t *testing.T) {
-	fw, ds, opts := fixture(t, 0)
-	if _, err := fw.EstablishContracts(nil, opts); err == nil {
+	topo, ds, opts := fixture(t, 0)
+	if _, err := PrepareRequests(topo, nil, opts); err == nil {
 		t.Error("nil history accepted")
-	}
-	bad := opts
-	bad.PeriodStart = time.Time{}
-	if _, err := fw.EstablishContracts(ds, bad); err == nil {
-		t.Error("zero period start accepted")
 	}
 	none := opts
 	none.MinPipeRate = 1e18
-	if _, err := fw.EstablishContracts(ds, none); err == nil {
+	if _, err := PrepareRequests(topo, ds, none); err == nil {
 		t.Error("all-filtered pipes accepted")
 	}
-	broken := New(nil, nil)
-	if _, err := broken.EstablishContracts(ds, opts); err == nil {
+	if _, err := PrepareRequests(nil, ds, opts); err == nil {
 		t.Error("missing topology accepted")
 	}
 }
 
 func TestEstablishContractsProposalsForScarcity(t *testing.T) {
-	// Tiny backbone capacity: most demand cannot be approved, so the §8
-	// negotiation engine must produce counter-proposals.
-	topoOpts := topology.DefaultBackboneOptions()
-	topoOpts.Regions = 5
-	topoOpts.Chords = 2
-	topoOpts.MinCapGbps = 50
-	topoOpts.MaxCapGbps = 100
-	topo, err := topology.Backbone(topoOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	specs := trace.DefaultOntology(0)
-	ds, err := trace.GenerateDemands(specs, trace.MatrixOptions{
-		Regions: topo.RegionsSorted(), TotalRate: 20e12,
-		Days: 120, Step: time.Hour, Seed: 3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := DefaultOptions(periodStart)
-	opts.Approval = approval.Options{RepresentativeTMs: 2, Risk: risk.Options{Scenarios: 10, Seed: 5}, Seed: 7}
+	// Tiny backbone capacity: most demand cannot be approved, so every
+	// short request gets §8 counter-proposals and, having opted into
+	// negotiation, a contract at its admittable volume.
+	topo, ds := backbone(t, 2, 50, 100, 0)
+	opts := DefaultOptions()
 	opts.MinPipeRate = 1e9
-	fw := New(topo, contractdb.NewStore())
-	rep, err := fw.EstablishContracts(ds, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Proposals) == 0 {
-		t.Error("scarce network produced no counter-proposals")
-	}
-	for _, p := range rep.Proposals {
-		if p.AdmittableRate > p.Hose.Rate {
-			t.Errorf("admittable %v above request %v", p.AdmittableRate, p.Hose.Rate)
+	_, decs, _ := establish(t, topo, ds, opts)
+	proposals, negotiated := 0, 0
+	for _, d := range decs {
+		proposals += len(d.Proposals)
+		for _, p := range d.Proposals {
+			if p.AdmittableRate > p.Hose.Rate {
+				t.Errorf("admittable %v above request %v", p.AdmittableRate, p.Hose.Rate)
+			}
+		}
+		if d.Status == granting.StatusNegotiated && d.NPG != hose.DummyNPG {
+			if d.Contract == nil {
+				t.Fatalf("negotiated %s has no contract", d.NPG)
+			}
+			negotiated++
+			for i, e := range d.Contract.Entitlements {
+				if e.Rate != d.Hoses[i].Approved {
+					t.Errorf("%s: contract rate %v != admittable %v", d.Hoses[i].Key, e.Rate, d.Hoses[i].Approved)
+				}
+			}
 		}
 	}
-}
-
-func TestEstablishContractsNegotiated(t *testing.T) {
-	// Scarce backbone: the first pass under-approves; negotiation reduces
-	// requests to admittable volumes and re-approves.
-	topoOpts := topology.DefaultBackboneOptions()
-	topoOpts.Regions = 5
-	topoOpts.Chords = 2
-	topoOpts.MinCapGbps = 100
-	topoOpts.MaxCapGbps = 200
-	topo, err := topology.Backbone(topoOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ds, err := trace.GenerateDemands(trace.DefaultOntology(0), trace.MatrixOptions{
-		Regions: topo.RegionsSorted(), TotalRate: 20e12,
-		Days: 120, Step: time.Hour, Seed: 3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := DefaultOptions(periodStart)
-	opts.Approval = approval.Options{RepresentativeTMs: 2, Risk: risk.Options{Scenarios: 10, Seed: 5}, Seed: 7}
-	opts.MinPipeRate = 1e9
-	fw := New(topo, contractdb.NewStore())
-	final, rounds, err := fw.EstablishContractsNegotiated(ds, opts, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rounds) == 0 {
-		t.Fatal("no negotiation rounds on a scarce network")
-	}
-	for _, r := range rounds {
-		if len(r.Reduced) == 0 {
-			t.Error("round reduced nothing")
-		}
-	}
-	// After negotiation the approval fraction of the (reduced) asks is
-	// higher than the raw first-pass fraction.
-	if final.Approval.ApprovalFraction() <= 0.5 {
-		t.Errorf("negotiated approval fraction = %v", final.Approval.ApprovalFraction())
-	}
-	// Contracts reflect the final (admittable) rates and validate.
-	if len(final.Contracts) == 0 {
-		t.Fatal("no contracts after negotiation")
-	}
-	for _, c := range final.Contracts {
-		if err := c.Validate(); err != nil {
-			t.Errorf("contract %s invalid: %v", c.NPG, err)
-		}
-	}
-	if _, _, err := fw.EstablishContractsNegotiated(ds, opts, -1); err == nil {
-		t.Error("negative rounds accepted")
-	}
-}
-
-func TestEstablishContractsNegotiatedImprovesFraction(t *testing.T) {
-	fw, ds, opts := fixture(t, 0)
-	base, err := New(fw.Topo, contractdb.NewStore()).EstablishContracts(ds, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	final, rounds, err := fw.EstablishContractsNegotiated(ds, opts, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rounds) > 3 {
-		t.Errorf("rounds = %d, want <= 3", len(rounds))
-	}
-	// Negotiation never lowers the approval fraction: reduced asks are at
-	// least as approvable as the originals.
-	if final.Approval.ApprovalFraction() < base.Approval.ApprovalFraction()-1e-6 {
-		t.Errorf("negotiated fraction %v below base %v",
-			final.Approval.ApprovalFraction(), base.Approval.ApprovalFraction())
-	}
-	if len(final.Contracts) == 0 {
-		t.Error("no contracts")
-	}
-	// With no proposals left (or rounds exhausted), the stored contracts
-	// match the final report.
-	for _, c := range final.Contracts {
-		stored, ok := fw.DB.Get(c.NPG)
-		if !ok || len(stored.Entitlements) != len(c.Entitlements) {
-			t.Errorf("stored contract for %s diverges", c.NPG)
-		}
+	if proposals == 0 || negotiated == 0 {
+		t.Errorf("scarce network produced %d counter-proposals and %d negotiated contracts", proposals, negotiated)
 	}
 }

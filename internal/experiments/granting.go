@@ -249,6 +249,10 @@ func CoverageVsTMs(targets, samples, maxTMs int, seed int64) *Result {
 
 // ApprovalVsSLO reproduces Figure 22: the fraction of requested bandwidth
 // approved as the availability requirement tightens, for egress and ingress.
+// It and AblationJointRealizations call approval.Approve, not
+// granting.DecideBatch, on purpose: they measure Algorithm 2 on a fixed,
+// hand-built hose order, not the granting service (which reorders a batch
+// canonically and negotiates); cmd/benchgen's figure golden pins both.
 func ApprovalVsSLO(scenarios int, seed int64) *Result {
 	if scenarios <= 0 {
 		scenarios = 200

@@ -9,7 +9,6 @@ import (
 
 	"entitlement/internal/approval"
 	"entitlement/internal/contract"
-	"entitlement/internal/contractdb"
 	"entitlement/internal/core"
 	"entitlement/internal/forecast"
 	"entitlement/internal/granting"
@@ -49,28 +48,27 @@ func pipelineDecisions(t *testing.T, rateTbps float64, negotiate bool, workers i
 		t.Fatal(err)
 	}
 	start := time.Date(2026, 5, 1, 0, 0, 0, 0, time.UTC)
-	opts := core.DefaultOptions(start)
+	opts := core.DefaultOptions()
 	opts.HighTouch = highTouch
-	opts.DefaultSLO = 0.999
 	opts.SLIKind = map[contract.NPG]forecast.SLIKind{
 		"Warmstorage": forecast.SLIMaxAvg6h,
 		"Coldstorage": forecast.SLIMaxAvg6h,
 		"Ads":         forecast.SLIDailyP99,
 	}
 	opts.MinPipeRate = 1e9
-	opts.Approval = approval.Options{
+	appr := approval.Options{
 		RepresentativeTMs: 4,
-		DefaultSLO:        opts.DefaultSLO,
+		DefaultSLO:        0.999,
 		Risk:              risk.Options{Scenarios: 60, Seed: seed + 2, Workers: workers},
 		Seed:              seed + 3,
 		Negotiation:       approval.NegotiateOptions{Enabled: negotiate, MaxEvals: 3},
 	}
-	rep, err := core.New(topo, contractdb.NewStore()).PrepareRequests(ds, opts)
+	rep, err := core.PrepareRequests(topo, ds, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	reqs := core.GrantRequests(rep.Hoses, opts, start.Unix())
-	decs, err := granting.DecideBatch(topo, reqs, granting.Options{Approval: opts.Approval, PeriodDays: forecast.QuarterDays})
+	decs, err := granting.DecideBatch(topo, reqs, granting.Options{Approval: appr, PeriodDays: forecast.QuarterDays})
 	if err != nil {
 		t.Fatal(err)
 	}

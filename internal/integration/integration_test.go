@@ -17,6 +17,7 @@ import (
 	"entitlement/internal/contractdb"
 	"entitlement/internal/core"
 	"entitlement/internal/enforce"
+	"entitlement/internal/granting"
 	"entitlement/internal/kvstore"
 	"entitlement/internal/netsim"
 	"entitlement/internal/risk"
@@ -27,8 +28,8 @@ import (
 var periodStart = time.Date(2026, 4, 1, 0, 0, 0, 0, time.UTC)
 
 // grantContracts runs the granting pipeline on a small synthetic setup and
-// returns the populated store.
-func grantContracts(t *testing.T) (*contractdb.Store, *core.Report) {
+// returns the populated store and the contracts it holds, in NPG order.
+func grantContracts(t *testing.T) (*contractdb.Store, []contract.Contract) {
 	t.Helper()
 	topoOpts := topology.DefaultBackboneOptions()
 	topoOpts.Regions = 4
@@ -46,24 +47,39 @@ func grantContracts(t *testing.T) (*contractdb.Store, *core.Report) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db := contractdb.NewStore()
-	opts := core.DefaultOptions(periodStart)
+	opts := core.DefaultOptions()
 	opts.MinPipeRate = 1e9
-	opts.Approval = approval.Options{
-		RepresentativeTMs: 2,
-		Risk:              risk.Options{Scenarios: 15, Seed: 7},
-		Seed:              9,
-	}
-	rep, err := core.New(topo, db).EstablishContracts(ds, opts)
+	rep, err := core.PrepareRequests(topo, ds, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return db, rep
+	decs, err := granting.DecideBatch(topo, core.GrantRequests(rep.Hoses, opts, periodStart.Unix()), granting.Options{
+		Approval: approval.Options{
+			RepresentativeTMs: 2,
+			DefaultSLO:        0.999,
+			Risk:              risk.Options{Scenarios: 15, Seed: 7},
+			Seed:              9,
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := contractdb.NewStore()
+	var contracts []contract.Contract
+	for _, d := range decs {
+		if d.Contract != nil {
+			if err := db.Put(*d.Contract); err != nil {
+				t.Fatal(err)
+			}
+			contracts = append(contracts, *d.Contract)
+		}
+	}
+	return db, contracts
 }
 
 func TestGrantThenEnforceOverTCP(t *testing.T) {
-	db, rep := grantContracts(t)
-	if len(rep.Contracts) == 0 {
+	db, contracts := grantContracts(t)
+	if len(contracts) == 0 {
 		t.Fatal("no contracts granted")
 	}
 
@@ -84,8 +100,8 @@ func TestGrantThenEnforceOverTCP(t *testing.T) {
 	// Pick a granted egress entitlement to enforce.
 	var ent *contract.Entitlement
 	var slo contract.SLO
-	for i := range rep.Contracts {
-		c := &rep.Contracts[i]
+	for i := range contracts {
+		c := &contracts[i]
 		for j := range c.Entitlements {
 			e := &c.Entitlements[j]
 			if e.Direction == contract.Egress && e.Rate > 1e9 {
