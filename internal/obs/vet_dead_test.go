@@ -25,6 +25,7 @@ var deadExportAllow = map[string]string{
 	"internal/topology.Topology.SetLinkFailProb": "test support: risk and granting tests mutate a served topology through it to pin the epoch-validity rule (DESIGN §10)",
 	"internal/topology.Topology.SetLinkDisabled": "test support: risk and granting tests mutate a served topology through it to pin the epoch-validity rule (DESIGN §10)",
 	"internal/wire.Client.NegotiatedCodec":       "test support: granting's codec round trip asserts which envelope a connection negotiated",
+	"internal/contract.Accountability":           "the §3.2 demarcation: the integration tests assert it on granted and drilled outcomes, and examples/misbehaving prints it",
 	"internal/forecast/gbdt.go":                  "the §4.1 inorganic model; ROADMAP item 10 F1 decides whether core uses it or it goes",
 	"internal/forecast.Result.AdjustInorganic":   "the §4.1 inorganic model; ROADMAP item 10 F1 decides whether core uses it or it goes",
 }
@@ -43,7 +44,8 @@ var ifaceMethods = map[string]bool{
 // TestVetDeadExports is the `make vet-dead` lint. An exported package-level
 // func, type, var, non-iota const or method of this module is live only if
 // its name appears as an identifier in some non-test .go file (nested
-// modules such as bench/ included) other than at its own declaration; a
+// modules such as bench/ included, examples/ not: a demo is no more a user
+// than a test is) other than at its own declaration; a
 // method's receiver type is part of that declaration. The match is by name,
 // so a collision can keep dead code alive but never flags live code. It also
 // fails on a package-level metric (a var assigned from obs.Register*) that no
@@ -58,9 +60,10 @@ func TestVetDeadExports(t *testing.T) {
 	}
 }
 
-// TestVetDeadExportsFixture plants a dead export, a dead metric and a stale
-// allow-list entry in a throwaway module and checks that the lint reports
-// exactly those, while the live, allow-listed and exempt declarations pass.
+// TestVetDeadExportsFixture plants a dead export, an export only an example
+// names, a dead metric and a stale allow-list entry in a throwaway module and
+// checks that the lint reports exactly those, while the live, allow-listed
+// and exempt declarations pass.
 func TestVetDeadExportsFixture(t *testing.T) {
 	root := t.TempDir()
 	files := map[string]string{
@@ -85,6 +88,8 @@ const (
 	KindA = iota
 	KindB
 )
+
+func OnlyExample() {}
 `,
 		"a/a_test.go": "package a\n\nfunc use() { Dead(); new(Used).Planted() }\n",
 		"obs/obs.go": `package obs
@@ -94,7 +99,8 @@ type Counter struct{}
 func (c *Counter) Inc() {}
 func RegisterCounter(name, help string) *Counter { return nil }
 `,
-		"main.go": "package main\n\nimport \"fixture/a\"\n\nfunc main() { var u a.Used; u.Run() }\n",
+		"main.go":               "package main\n\nimport \"fixture/a\"\n\nfunc main() { var u a.Used; u.Run() }\n",
+		"examples/demo/main.go": "package main\n\nimport \"fixture/a\"\n\nfunc main() { a.OnlyExample() }\n",
 	}
 	for name, body := range files {
 		p := filepath.Join(root, name)
@@ -116,6 +122,7 @@ func RegisterCounter(name, help string) *Counter { return nil }
 	want := []string{
 		"a/a.go:10: exported Used.Planted has no non-test referrer",
 		"a/a.go:14: exported Dead has no non-test referrer",
+		"a/a.go:22: exported OnlyExample has no non-test referrer",
 		"a/a.go:6: metric var mDead is never used by non-test code in package a",
 		`allow-list entry "a.Used" (stale: Used has a referrer) covers no dead declaration`,
 	}
@@ -145,7 +152,7 @@ func vetDeadExports(root string, allow map[string]string) ([]string, error) {
 			return err
 		}
 		if d.IsDir() {
-			if name := d.Name(); path != root && (name == "testdata" || strings.HasPrefix(name, ".")) {
+			if name := d.Name(); path != root && (name == "testdata" || strings.HasPrefix(name, ".") || path == filepath.Join(root, "examples")) {
 				return filepath.SkipDir
 			}
 			return nil
