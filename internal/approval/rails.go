@@ -35,27 +35,17 @@ type NegotiateOptions struct {
 	// MaxEvals bounds re-approval evaluations per under-approved hose.
 	// Default 8.
 	MaxEvals int
-	// RateSteps bounds the bisection probes between the admittable rate and
-	// the request. Default 4 (resolves the admittable boundary to ~6% of the
-	// shortfall). Capped by the remaining MaxEvals budget.
-	RateSteps int
-	// MaxClassShift bounds how far from the requested QoS class the search
-	// wanders (in class steps). Default 2 — one tier in either direction.
-	MaxClassShift int
 }
 
-func (n NegotiateOptions) withDefaults() NegotiateOptions {
-	if n.MaxEvals <= 0 {
-		n.MaxEvals = 8
-	}
-	if n.RateSteps <= 0 {
-		n.RateSteps = 4
-	}
-	if n.MaxClassShift <= 0 {
-		n.MaxClassShift = 2
-	}
-	return n
-}
+const (
+	// rateSteps bounds the bisection probes between the admittable rate and
+	// the request: 4 resolves the admittable boundary to ~6% of the
+	// shortfall. Capped by the remaining MaxEvals budget.
+	rateSteps = 4
+	// maxClassShift bounds how far from the requested QoS class the search
+	// wanders, in class steps: one tier in either direction.
+	maxClassShift = 2
+)
 
 // NegotiateSearch builds counter-proposals for every hose that was not fully
 // approved in res (which must be Approve's result for exactly these hoses
@@ -64,11 +54,13 @@ func (n NegotiateOptions) withDefaults() NegotiateOptions {
 // it can fully approve without degrading any other hose's full approval.
 func NegotiateSearch(topo *topology.Topology, hoses []hose.Request, res *Result, opts Options) ([]CounterProposal, error) {
 	proposals := Negotiate(res)
-	neg := opts.Negotiation
-	if !neg.Enabled || len(proposals) == 0 {
+	if !opts.Negotiation.Enabled || len(proposals) == 0 {
 		return proposals, nil
 	}
-	neg = neg.withDefaults()
+	maxEvals := opts.Negotiation.MaxEvals
+	if maxEvals <= 0 {
+		maxEvals = 8
+	}
 
 	// Candidate evaluations share one scenario set per risk seed through a
 	// result cache scoped to this search, and the caller's runner pool, but
@@ -118,14 +110,14 @@ func NegotiateSearch(topo *topology.Topology, hoses []hose.Request, res *Result,
 		if orig.Rate <= 0 {
 			continue
 		}
-		budget := neg.MaxEvals
+		budget := maxEvals
 		var best *hose.Request
 
 		// Move class 1: QoS class shifts at the full requested rate, nearest
 		// shift first (higher-priority direction preferred on ties — the
 		// offer "buy one class up and your full ask fits"). The first success
 		// is rate-maximal, so the class phase stops there.
-		for shift := 1; shift <= neg.MaxClassShift && best == nil && budget > 0; shift++ {
+		for shift := 1; shift <= maxClassShift && best == nil && budget > 0; shift++ {
 			for _, c := range []contract.Class{orig.Class - contract.Class(shift), orig.Class + contract.Class(shift)} {
 				if !c.Valid() || budget == 0 || best != nil {
 					continue
@@ -152,10 +144,7 @@ func NegotiateSearch(topo *topology.Topology, hoses []hose.Request, res *Result,
 		// already won — no shrink can offer more.
 		if best == nil {
 			lo, hi := a.ApprovedRate, orig.Rate
-			steps := neg.RateSteps
-			if steps > budget {
-				steps = budget
-			}
+			steps := min(rateSteps, budget)
 			for s := 0; s < steps && hi-lo > bwTolApproval(hi); s++ {
 				mid := lo + (hi-lo)/2
 				cand := orig
@@ -177,7 +166,7 @@ func NegotiateSearch(topo *topology.Topology, hoses []hose.Request, res *Result,
 
 		if best != nil && (best.Class != orig.Class || best.Rate > a.ApprovedRate+bwTolApproval(a.ApprovedRate)) {
 			cp.CounterOffer = best
-			cp.Evals = neg.MaxEvals - budget
+			cp.Evals = maxEvals - budget
 		}
 	}
 	return proposals, nil

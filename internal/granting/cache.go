@@ -125,10 +125,7 @@ func batchSig(reqSigs []string, o *Options) string {
 	b.WriteString(strconv.FormatBool(o.Approval.Negotiation.Enabled))
 	b.WriteByte('|')
 	b.WriteString(strconv.Itoa(o.Approval.Negotiation.MaxEvals))
-	b.WriteByte('|')
-	b.WriteString(strconv.Itoa(o.Approval.Negotiation.RateSteps))
-	b.WriteByte('|')
-	b.WriteString(strconv.Itoa(o.Approval.Negotiation.MaxClassShift))
+	b.WriteString("|0|0") // two search options, now constants; journals written before carry their zero values
 	keys := make([]string, 0, len(o.Approval.SLOs))
 	for npg := range o.Approval.SLOs {
 		keys = append(keys, string(npg))
