@@ -1,12 +1,18 @@
 package main
 
 import (
+	"bytes"
+	"context"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
+
+	"entitlement/cmd/internal/cli"
+	"entitlement/cmd/internal/cli/clitest"
 )
 
 // bench renders `go test -bench` output for one package: a header, one line
@@ -204,6 +210,43 @@ func TestCommittedBaselineParses(t *testing.T) {
 	for name := range recorded {
 		if !defined[name] {
 			t.Errorf("BENCH.txt records %q, which no package in BENCH_GATE_PKGS defines any more: run `make bench-rebaseline`", name)
+		}
+	}
+}
+
+func TestReadmeCommands(t *testing.T) { clitest.CheckReadme(t, "benchgate", run) }
+
+// TestRun drives the gate end to end: exit 0 within the ratio, 1 on a
+// regression or an unreadable file, 2 on a usage error.
+func TestRun(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name, text string) string {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	base := write("base.txt", bench("m/a", "BenchmarkPut-2", 2000, 2000, 2000))
+	same := write("same.txt", bench("m/a", "BenchmarkPut-4", 2100, 2100, 2100))
+	slow := write("slow.txt", bench("m/a", "BenchmarkPut-2", 5000, 5000, 5000))
+	for _, tc := range []struct {
+		args []string
+		code int
+		want string // in stdout
+	}{
+		{[]string{base, same}, 0, "benchgate: ok (1 benchmarks, median ns/op within 2.0x of " + base + ")"},
+		{[]string{base, same}, 0, "baseline ran at GOMAXPROCS=2, fresh at GOMAXPROCS=4"},
+		{[]string{base, slow}, 1, "REGRESSION"},
+		{[]string{"-ratio", "3", base, slow}, 0, "benchgate: ok"},
+		{[]string{base, filepath.Join(dir, "missing.txt")}, 1, ""},
+		{[]string{base}, 2, ""},
+		{[]string{"-ratio", "two", base, same}, 2, ""},
+	} {
+		var stdout bytes.Buffer
+		err := run(context.Background(), tc.args, &stdout, io.Discard)
+		if got := cli.ExitCode(err); got != tc.code || !strings.Contains(stdout.String(), tc.want) {
+			t.Errorf("benchgate %q: exit %d (%v), want %d; stdout:\n%s", tc.args, got, err, tc.code, stdout.String())
 		}
 	}
 }

@@ -2,10 +2,13 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"flag"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"entitlement/cmd/internal/cli/clitest"
 )
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/figures-small.golden from this tree's output")
@@ -17,7 +20,7 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/figures-s
 func TestFigureGolden(t *testing.T) {
 	path := filepath.Join("testdata", "figures-small.golden")
 	var stdout, stderr bytes.Buffer
-	if err := run([]string{"-scale", "small"}, &stdout, &stderr); err != nil {
+	if err := run(context.Background(), []string{"-scale", "small"}, &stdout, &stderr); err != nil {
 		t.Fatalf("run: %v\n%s", err, stderr.String())
 	}
 	if *updateGolden {
@@ -35,13 +38,15 @@ func TestFigureGolden(t *testing.T) {
 	}
 }
 
+func TestReadmeCommands(t *testing.T) { clitest.CheckReadme(t, "benchgen", run) }
+
 func TestRunFlagsAndCSV(t *testing.T) {
-	if err := run([]string{"-no-such-flag"}, &bytes.Buffer{}, &bytes.Buffer{}); err == nil {
+	if err := run(context.Background(), []string{"-no-such-flag"}, &bytes.Buffer{}, &bytes.Buffer{}); err == nil {
 		t.Error("unknown flag accepted")
 	}
 	dir := t.TempDir()
 	var stdout bytes.Buffer
-	if err := run([]string{"-scale", "small", "-figure", "fig-22", "-csv", dir}, &stdout, &bytes.Buffer{}); err != nil {
+	if err := run(context.Background(), []string{"-scale", "small", "-figure", "fig-22", "-csv", dir}, &stdout, &bytes.Buffer{}); err != nil {
 		t.Fatal(err)
 	}
 	files, err := filepath.Glob(filepath.Join(dir, "*.csv"))

@@ -14,9 +14,13 @@
 package main
 
 import (
-	"flag"
+	"context"
+	"errors"
 	"fmt"
+	"io"
 	"os"
+
+	"entitlement/cmd/internal/cli"
 
 	"entitlement/internal/contractdb"
 	"entitlement/internal/granting"
@@ -34,33 +38,36 @@ func allDefs() []schemav1.Def {
 	return defs
 }
 
-func main() {
-	update := flag.Bool("update", false, "rewrite the lock file from the live schemas")
-	lockPath := flag.String("lock", "schema/v1/schema.lock", "path to the schema lock file")
-	flag.Parse()
+func main() { cli.Main("schemavet", run) }
+
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
+	fs := cli.FlagSet("schemavet", stderr)
+	update := fs.Bool("update", false, "rewrite the lock file from the live schemas")
+	lockPath := fs.String("lock", "schema/v1/schema.lock", "path to the schema lock file")
+	if err := cli.Parse(ctx, fs, args); err != nil {
+		return err
+	}
 
 	live := schemav1.Entries(allDefs())
 	if *update {
 		if err := os.WriteFile(*lockPath, []byte(schemav1.FormatLock(live)), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "schemavet:", err)
-			os.Exit(1)
+			return err
 		}
-		fmt.Printf("schemavet: wrote %s (%d schemas)\n", *lockPath, len(live))
-		return
+		fmt.Fprintf(stdout, "schemavet: wrote %s (%d schemas)\n", *lockPath, len(live))
+		return nil
 	}
 
 	data, err := os.ReadFile(*lockPath)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "schemavet: %v\nrun `make vet-schema-update` to create the lock file\n", err)
-		os.Exit(1)
+		return fmt.Errorf("%v\nrun `make vet-schema-update` to create the lock file", err)
 	}
 	problems := schemav1.Check(live, schemav1.ParseLock(string(data)))
 	if len(problems) > 0 {
 		for _, p := range problems {
-			fmt.Fprintln(os.Stderr, "schemavet:", p)
+			fmt.Fprintln(stderr, "schemavet:", p)
 		}
-		fmt.Fprintln(os.Stderr, "schemavet: wire schemas are versioned contracts (DESIGN.md §14): compatible changes regenerate the lock with `make vet-schema-update`; breaking changes need a new schema version")
-		os.Exit(1)
+		return errors.New("wire schemas are versioned contracts (DESIGN.md §14): compatible changes regenerate the lock with `make vet-schema-update`; breaking changes need a new schema version")
 	}
-	fmt.Printf("schemavet: %d schemas match %s\n", len(live), *lockPath)
+	fmt.Fprintf(stdout, "schemavet: %d schemas match %s\n", len(live), *lockPath)
+	return nil
 }

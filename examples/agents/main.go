@@ -10,8 +10,10 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
 	"net"
+	"os"
 	"time"
 
 	"entitlement/internal/bpf"
@@ -31,6 +33,12 @@ const (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer) error {
 	// --- Servers. ----------------------------------------------------------
 	dbStore := contractdb.NewStore()
 	now := time.Now().UTC()
@@ -42,24 +50,24 @@ func main() {
 		}},
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	dbL, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	dbSrv := contractdb.NewServer(dbL, dbStore)
 	defer dbSrv.Close()
 
 	kvL, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	kvSrv := kvstore.NewServer(kvL, kvstore.New())
 	defer kvSrv.Close()
 
-	fmt.Printf("contractdb on %s, kvstore on %s\n", dbSrv.Addr(), kvSrv.Addr())
-	fmt.Printf("%d hosts × %.0fG = %.1fT demand vs %.1fT entitled\n\n",
+	fmt.Fprintf(w, "contractdb on %s, kvstore on %s\n", dbSrv.Addr(), kvSrv.Addr())
+	fmt.Fprintf(w, "%d hosts × %.0fG = %.1fT demand vs %.1fT entitled\n\n",
 		hosts, perHost/1e9, hosts*perHost/1e12, entRate/1e12)
 
 	// --- Agents, each with its own TCP clients. -----------------------------
@@ -72,12 +80,12 @@ func main() {
 		id := fmt.Sprintf("cold-%02d", i)
 		db, err := contractdb.Dial(dbSrv.Addr())
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		defer db.Close()
 		kv, err := kvstore.Dial(kvSrv.Addr())
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		defer kv.Close()
 		a, err := enforce.NewAgent(enforce.AgentConfig{
@@ -87,7 +95,7 @@ func main() {
 			RateTTL: 30 * time.Second,
 		})
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		fleet = append(fleet, agentRun{agent: a, id: id})
 	}
@@ -109,7 +117,7 @@ func main() {
 			}
 			rep, err := f.agent.Cycle(time.Now().UTC(), perHost, localConform)
 			if err != nil {
-				log.Fatal(err)
+				return err
 			}
 			conforming[f.id] = bpf.HostGroup(f.id) >= rep.NonConformGroups
 			if !conforming[f.id] {
@@ -117,9 +125,10 @@ func main() {
 			}
 			lastRep = rep
 		}
-		fmt.Printf("cycle %d: total %.2fT conform %.2fT ratio %.3f → %d/%d hosts remarked\n",
+		fmt.Fprintf(w, "cycle %d: total %.2fT conform %.2fT ratio %.3f → %d/%d hosts remarked\n",
 			cycle, lastRep.TotalRate/1e12, lastRep.ConformRate/1e12,
 			lastRep.ConformRatio, marked, hosts)
 	}
-	fmt.Println("\nagents converged over live TCP with no controller in the loop.")
+	fmt.Fprintln(w, "\nagents converged over live TCP with no controller in the loop.")
+	return nil
 }

@@ -6,23 +6,31 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"entitlement/internal/netsim"
 	"entitlement/internal/stats"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer) error {
 	opts := netsim.DefaultDrillOptions()
 	opts.Hosts = 30
 	opts.StageTicks = 50
 	rep, err := netsim.RunDrill(opts)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
-	fmt.Println("September-2021 drill reproduction (compressed):")
-	fmt.Printf("  service: Coldstorage, %d hosts, %.1f Tbps demand, entitled %.1f Tbps\n\n",
+	fmt.Fprintln(w, "September-2021 drill reproduction (compressed):")
+	fmt.Fprintf(w, "  service: Coldstorage, %d hosts, %.1f Tbps demand, entitled %.1f Tbps\n\n",
 		opts.Hosts, opts.Demand/1e12, opts.Entitled/1e12)
 
 	confLoss, nonLoss := rep.LossSeries()
@@ -35,22 +43,23 @@ func main() {
 		avgNonLoss := stats.Mean(nonLoss[lo:hi])
 		avgTotal := stats.Mean(total[lo:hi])
 		avgConform := stats.Mean(conform[lo:hi])
-		fmt.Printf("stage %-22s conforming loss %5.2f%%, non-conforming loss %6.2f%%, total %.2fT, conforming %.2fT\n",
+		fmt.Fprintf(w, "stage %-22s conforming loss %5.2f%%, non-conforming loss %6.2f%%, total %.2fT, conforming %.2fT\n",
 			stage.Name, 100*avgConfLoss, 100*avgNonLoss, avgTotal/1e12, avgConform/1e12)
 	}
 
-	fmt.Println("\nwhat the drill demonstrates (§6):")
-	fmt.Println("  - conforming traffic sees ~0% loss at every ACL stage (Figure 11)")
-	fmt.Println("  - total rate descends to the entitled rate as drops intensify (Figure 12)")
-	fmt.Println("  - host-based remarking lets the app fail over, so reads barely notice")
-	fmt.Printf("    (read latency at 12.5%% drop: %.0f ms vs %.0f ms baseline)\n",
+	fmt.Fprintln(w, "\nwhat the drill demonstrates (§6):")
+	fmt.Fprintln(w, "  - conforming traffic sees ~0% loss at every ACL stage (Figure 11)")
+	fmt.Fprintln(w, "  - total rate descends to the entitled rate as drops intensify (Figure 12)")
+	fmt.Fprintln(w, "  - host-based remarking lets the app fail over, so reads barely notice")
+	fmt.Fprintf(w, "    (read latency at 12.5%% drop: %.0f ms vs %.0f ms baseline)\n",
 		1000*appAvg(rep, "acl-12.5"), 1000*appAvg(rep, "baseline"))
 
 	blockErrs := 0
 	for _, a := range rep.App.Series {
 		blockErrs += a.BlockErrors
 	}
-	fmt.Printf("  - stateful writes suffer: %d block errors, peaking at the 100%% stage (Figure 17)\n", blockErrs)
+	fmt.Fprintf(w, "  - stateful writes suffer: %d block errors, peaking at the 100%% stage (Figure 17)\n", blockErrs)
+	return nil
 }
 
 func appAvg(rep *netsim.DrillReport, stage string) float64 {

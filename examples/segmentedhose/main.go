@@ -7,6 +7,9 @@ package main
 
 import (
 	"fmt"
+	"io"
+	"log"
+	"os"
 	"time"
 
 	"entitlement/internal/contract"
@@ -16,6 +19,12 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer) error {
 	// --- Part 1: the Figure 6 worked example. ----------------------------
 	// Ads in region A forecasts 300G to B, 100G to C, 250G to D and E.
 	pipes := []hose.PipeRequest{
@@ -24,8 +33,8 @@ func main() {
 		{NPG: "Ads", Class: contract.ClassA, Src: "A", Dst: "D", Rate: 250e9},
 		{NPG: "Ads", Class: contract.ClassA, Src: "A", Dst: "E", Rate: 250e9},
 	}
-	fmt.Println("Figure 6 example — Ads egress from region A:")
-	fmt.Printf("  pipe model reserves      %6.0fG (no flexibility)\n", hose.PipeReserved(pipes)/1e9)
+	fmt.Fprintln(w, "Figure 6 example — Ads egress from region A:")
+	fmt.Fprintf(w, "  pipe model reserves      %6.0fG (no flexibility)\n", hose.PipeReserved(pipes)/1e9)
 
 	hoses := hose.AggregatePipes(pipes)
 	var egress hose.Request
@@ -34,7 +43,7 @@ func main() {
 			egress = h
 		}
 	}
-	fmt.Printf("  general hose reserves    %6.0fG (full flexibility, 4x cost)\n",
+	fmt.Fprintf(w, "  general hose reserves    %6.0fG (full flexibility, 4x cost)\n",
 		hose.GeneralHoseReserved(&egress, 4)/1e9)
 
 	segmented := egress
@@ -42,14 +51,14 @@ func main() {
 		{Targets: []topology.Region{"B", "C"}, Alpha: 400.0 / 900},
 		{Targets: []topology.Region{"D", "E"}, Alpha: 500.0 / 900},
 	}
-	fmt.Printf("  segmented hose reserves  %6.0fG (traffic moves freely within {B,C} and {D,E})\n",
+	fmt.Fprintf(w, "  segmented hose reserves  %6.0fG (traffic moves freely within {B,C} and {D,E})\n",
 		hose.SegmentedReserved(&segmented)/1e9)
 
 	// --- Part 2: Algorithm 1 on observed traffic. -------------------------
 	// The service's compute lives near B and C, its storage near D and E:
 	// traffic shifts within each group over time but the group totals are
 	// stable, which is exactly what segmentation exploits.
-	fmt.Println("\nAlgorithm 1 on time-varying per-destination traffic:")
+	fmt.Fprintln(w, "\nAlgorithm 1 on time-varying per-destination traffic:")
 	start := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 	mk := func(vals ...float64) *timeseries.Series {
 		return timeseries.New(start, time.Hour, vals)
@@ -62,14 +71,14 @@ func main() {
 	}
 	seg1, seg2, err := hose.TwoSegments(perDst)
 	if err != nil {
-		panic(err)
+		return err
 	}
-	fmt.Printf("  segment 1: %v with alpha %.3f\n", seg1.Targets, seg1.Alpha)
-	fmt.Printf("  segment 2: %v with alpha %.3f\n", seg2.Targets, seg2.Alpha)
+	fmt.Fprintf(w, "  segment 1: %v with alpha %.3f\n", seg1.Targets, seg1.Alpha)
+	fmt.Fprintf(w, "  segment 2: %v with alpha %.3f\n", seg2.Targets, seg2.Alpha)
 
 	auto := egress
 	auto.Segments = []hose.Segment{seg1, seg2}
-	fmt.Printf("  reserved: %6.0fG vs %6.0fG general (%.0f%% saved)\n",
+	fmt.Fprintf(w, "  reserved: %6.0fG vs %6.0fG general (%.0f%% saved)\n",
 		hose.SegmentedReserved(&auto)/1e9, hose.GeneralHoseReserved(&egress, 4)/1e9,
 		100*(1-hose.SegmentedReserved(&auto)/hose.GeneralHoseReserved(&egress, 4)))
 
@@ -85,6 +94,7 @@ func main() {
 	}
 	genTMs := hose.TMsForCoverage(hose.NewSampler(egress, regions, 7), samplesOf(egress), 0.75, 4000)
 	segTMs := hose.TMsForCoverage(hose.NewSampler(auto, regions, 7), samplesOf(auto), 0.75, 4000)
-	fmt.Printf("\nrepresentative TMs for 75%% hose coverage: general %d, segmented %d (%.0f%% fewer)\n",
+	fmt.Fprintf(w, "\nrepresentative TMs for 75%% hose coverage: general %d, segmented %d (%.0f%% fewer)\n",
 		genTMs, segTMs, 100*(1-float64(segTMs)/float64(genTMs)))
+	return nil
 }

@@ -20,6 +20,7 @@ import (
 // to go too, so the list only shrinks.
 var deadExportAllow = map[string]string{
 	"internal/faults":                            "test support: the chaos, crash and SLO suites of other packages import it",
+	"cmd/internal/cli/clitest":                   "test support: every cmd/ main_test.go parses the README's commands for its binary through it",
 	"internal/obs.ParseText":                     "test support: other packages' tests scrape /metrics through it",
 	"internal/obs.ParseTextWithExemplars":        "test support: other packages' tests scrape /metrics exemplars through it",
 	"internal/topology.Topology.SetLinkFailProb": "test support: risk and granting tests mutate a served topology through it to pin the epoch-validity rule (DESIGN §10)",

@@ -524,15 +524,6 @@ func TestCodecParseAndString(t *testing.T) {
 	if CodecJSON.String() != "json" || CodecBinary.String() != "binary" {
 		t.Error("codec strings")
 	}
-	if c, err := ParseCodec("binary"); err != nil || c != CodecBinary {
-		t.Errorf("ParseCodec(binary) = %v, %v", c, err)
-	}
-	if c, err := ParseCodec("json"); err != nil || c != CodecJSON {
-		t.Errorf("ParseCodec(json) = %v, %v", c, err)
-	}
-	if _, err := ParseCodec("protobuf"); err == nil {
-		t.Error("unknown codec accepted")
-	}
 }
 
 func TestOverloadedUnwrapAndErrors(t *testing.T) {

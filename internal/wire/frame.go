@@ -185,24 +185,12 @@ const (
 	CodecBinary
 )
 
-// String renders the codec flag value.
+// String names the codec.
 func (c Codec) String() string {
 	if c == CodecBinary {
 		return "binary"
 	}
 	return "json"
-}
-
-// ParseCodec parses a -codec flag value.
-func ParseCodec(s string) (Codec, error) {
-	switch s {
-	case "json":
-		return CodecJSON, nil
-	case "binary":
-		return CodecBinary, nil
-	default:
-		return CodecJSON, fmt.Errorf("wire: unknown codec %q (want json or binary)", s)
-	}
 }
 
 // NegotiateMethod is the reserved method name for codec negotiation; wire
