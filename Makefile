@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build vet vet-metrics vet-imports vet-dead vet-schema vet-schema-update test race chaos crash slo replay trace wirecompat fuzz-smoke bench bench-build bench-smoke bench-regress bench-rebaseline cover figures examples grantd-demo
+.PHONY: all build vet vet-metrics vet-imports vet-dead vet-schema vet-schema-update test race chaos crash slo replay trace wirecompat fuzz-smoke bench bench-build bench-smoke bench-regress bench-rebaseline cover loc figures examples grantd-demo
 
 all: build vet vet-metrics vet-imports vet-dead vet-schema bench-build test
 
@@ -219,6 +219,14 @@ bench-rebaseline:
 
 cover:
 	go test -cover ./internal/... ./schema/...
+
+# Line counts by `wc -l`, the one way ROADMAP's "net lines fall" bars are
+# measured: non-test Go outside bench/, test Go outside bench/, and the
+# benchmark module's .go files.
+loc:
+	@printf '%-30s %s\n' 'non-test Go outside bench/:' "$$(find . -path ./bench -prune -o -name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l)"
+	@printf '%-30s %s\n' 'test Go outside bench/:' "$$(find . -path ./bench -prune -o -name '*_test.go' -print | xargs cat | wc -l)"
+	@printf '%-30s %s\n' 'bench/ .go:' "$$(find bench -name '*.go' | xargs cat | wc -l)"
 
 # Regenerate every evaluation figure (text). Use FIGURE=fig-25 to filter.
 figures:

@@ -19,9 +19,10 @@ package main
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
+	"log/slog"
+	"strings"
 	"time"
 
 	"entitlement/cmd/internal/cli"
@@ -128,72 +129,91 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 
 	fmt.Fprintf(stdout, "agent %s: %s/%s/%s, %s remarking, %.0f Gbps local egress (db %s, kv %s)\n",
 		*host, *npg, class, *region, cfg.Policy, *rateGbps, *dbAddr, *kvAddr)
-	// Drive the loop through enforce.Run: the callback contract guarantees
-	// OnError/OnCycle are serialized with measure() on the Run goroutine,
-	// so the marking feedback below is race-free, and the Logger gives
-	// structured per-cycle trace spans with cycle IDs.
 	localTotal := *rateGbps * 1e9
 	localConform := localTotal
-	n := 0
 	haveObjective := false
 	ctx, cancel := cli.Interruptible(ctx) // ^C ends the loop, and the report still prints
 	defer cancel()
-	err = agent.Run(ctx, func() (float64, float64) { return localTotal, localConform }, enforce.RunOptions{
-		Period: *period,
-		Logger: d.Logger(),
-		Now:    func() time.Time { return time.Now().UTC() },
-		OnError: func(err error) {
-			var de *enforce.DegradedError
-			if !errors.As(err, &de) {
-				// Cycle degrades rather than erroring; anything here is a
-				// programming bug, but even then the agent keeps running.
-				fmt.Fprintf(stderr, "cycle %3d: error: %v\n", n, err)
+	ticker := time.NewTicker(*period)
+	defer ticker.Stop()
+loop:
+	for n := 0; *cycles == 0 || n < *cycles; n++ {
+		if n > 0 {
+			select {
+			case <-ctx.Done():
+				break loop
+			case <-ticker.C:
 			}
-		},
-		OnCycle: func(rep enforce.CycleReport) {
-			mode := ""
-			switch {
-			case rep.FailedOpen:
-				mode = " FAIL-OPEN"
-			case rep.Degraded:
-				mode = fmt.Sprintf(" DEGRADED(stale %s)", rep.StaleFor.Round(time.Millisecond))
-			}
-			// Feed the marking decision back into the synthetic measurement:
-			// if this host is remarked, its conforming egress drops to zero.
-			marked := "conforming"
-			localConform = localTotal
-			if rep.NonConformGroups > 0 && bpf.HostGroup(*host) < rep.NonConformGroups {
-				marked, localConform = "REMARKED", 0
-			}
-			fmt.Fprintf(stdout, "cycle %3d: entitled=%.1fG total=%.1fG conform=%.1fG ratio=%.3f groups=%d enforced=%v host=%s%s\n",
-				n, rep.EntitledRate/1e9, rep.TotalRate/1e9, rep.ConformRate/1e9,
-				rep.ConformRatio, rep.NonConformGroups, rep.Enforced, marked, mode)
-			for _, f := range rep.Faults {
-				fmt.Fprintf(stderr, "cycle %3d: fault: %s\n", n, f)
-			}
-			n++
-			if eng != nil {
-				// The SLO target lives in the approval record; fetch it
-				// lazily so the agent still starts when contractdb is down,
-				// and keep trying until a cycle finds it.
-				if !haveObjective {
-					if target, ok, err := db.SLO(contract.NPG(*npg)); err == nil && ok {
-						eng.SetObjective(*npg, target)
-						haveObjective = true
-					}
+		}
+		start := time.Now()
+		rep, _ := agent.Cycle(start.UTC(), localTotal, localConform) // the error is always nil
+		logCycle(d.Logger(), n, time.Since(start), cfg, rep)
+		mode := ""
+		switch {
+		case rep.FailedOpen:
+			mode = " FAIL-OPEN"
+		case rep.Degraded:
+			mode = fmt.Sprintf(" DEGRADED(stale %s)", rep.StaleFor.Round(time.Millisecond))
+		}
+		// Feed the marking decision back into the synthetic measurement: if
+		// this host is remarked, its conforming egress drops to zero.
+		marked := "conforming"
+		localConform = localTotal
+		if rep.NonConformGroups > 0 && bpf.HostGroup(*host) < rep.NonConformGroups {
+			marked, localConform = "REMARKED", 0
+		}
+		fmt.Fprintf(stdout, "cycle %3d: entitled=%.1fG total=%.1fG conform=%.1fG ratio=%.3f groups=%d enforced=%v host=%s%s\n",
+			n, rep.EntitledRate/1e9, rep.TotalRate/1e9, rep.ConformRate/1e9,
+			rep.ConformRatio, rep.NonConformGroups, rep.Enforced, marked, mode)
+		for _, f := range rep.Faults {
+			fmt.Fprintf(stderr, "cycle %3d: fault: %s\n", n, f)
+		}
+		if eng != nil {
+			// The SLO target lives in the approval record; fetch it lazily
+			// so the agent still starts when contractdb is down, and keep
+			// trying until a cycle finds it.
+			if !haveObjective {
+				if target, ok, err := db.SLO(contract.NPG(*npg)); err == nil && ok {
+					eng.SetObjective(*npg, target)
+					haveObjective = true
 				}
-				eng.Evaluate(time.Now().UTC())
 			}
-			if *cycles > 0 && n >= *cycles {
-				cancel()
-			}
-		},
-	})
+			eng.Evaluate(time.Now().UTC())
+		}
+	}
 	if eng != nil {
 		fmt.Fprintf(stdout, "\n%s", eng.Report(time.Now().UTC()).Text())
 	}
-	if errors.Is(err, context.Canceled) {
-		return nil
+	return nil
+}
+
+// logCycle writes the cycle's one structured record: Debug when healthy,
+// Warn when degraded or failed open. Every RPC request ID the cycle issued
+// starts with its trace_id, so one grep of the kvstore and contractdb logs
+// finds the cycle's calls.
+func logCycle(l *slog.Logger, n int, took time.Duration, cfg enforce.AgentConfig, rep enforce.CycleReport) {
+	attrs := []any{
+		slog.Int("cycle_id", n),
+		slog.String("host", cfg.Host),
+		slog.String("npg", string(cfg.NPG)),
+		slog.Duration("took", took),
+		slog.String("trace_id", rep.TraceID),
+		slog.Bool("enforced", rep.Enforced),
+		slog.Bool("degraded", rep.Degraded),
+		slog.Bool("failed_open", rep.FailedOpen),
+		slog.Float64("total_rate", rep.TotalRate),
+		slog.Float64("entitled_rate", rep.EntitledRate),
+		slog.Float64("conform_ratio", rep.ConformRatio),
 	}
-	return err
+	if !rep.Degraded && !rep.FailedOpen {
+		l.Debug("enforce.cycle", attrs...)
+		return
+	}
+	msg := "enforce.cycle degraded"
+	if rep.FailedOpen {
+		msg = "enforce.cycle fail-open"
+	}
+	l.Warn(msg, append(attrs,
+		slog.Duration("stale_for", rep.StaleFor),
+		slog.String("faults", strings.Join(rep.Faults, "; ")))...)
 }

@@ -113,8 +113,8 @@ type spanSetter interface{ SetSpan(trace.Context) }
 // are fully distributed — no controller exists in the second-generation
 // architecture (§5.1).
 //
-// Like the meter it drives, an Agent is single-goroutine state: one Run
-// loop (or one caller of Cycle) per agent.
+// Like the meter it drives, an Agent is single-goroutine state: one caller
+// of Cycle per agent.
 type Agent struct {
 	cfg AgentConfig
 	key bpf.MapKey
@@ -242,9 +242,8 @@ func (r *CycleReport) fault(op string, err error) {
 // aggregation and the contract query run; failed aggregation or contract
 // queries fall back to the last-known-good answers while they are younger
 // than AgentConfig.StalenessBudget (fail-static); beyond the budget the
-// agent fails open. The returned error is nil whenever an enforcement
-// decision was made — inspect CycleReport.Degraded/StaleFor/FailedOpen for
-// the mode.
+// agent fails open. Every cycle makes a decision, so the returned error is
+// always nil: inspect CycleReport.Degraded/StaleFor/FailedOpen for the mode.
 func (a *Agent) Cycle(now time.Time, localTotal, localConform float64) (CycleReport, error) {
 	a.cycleSeq++
 	root := a.tracer.StartRoot("enforce.cycle")
@@ -253,7 +252,7 @@ func (a *Agent) Cycle(now time.Time, localTotal, localConform float64) (CycleRep
 	root.Annotate(fmt.Sprintf("cycle %d host %s", a.cycleSeq, a.cfg.Host))
 	traceID := root.TraceID()
 	start := time.Now()
-	rep, err := a.cycle(now, localTotal, localConform, root.Context())
+	rep := a.cycle(now, localTotal, localConform, root.Context())
 	rep.TraceID = traceID
 	if rep.Degraded {
 		root.Flag(trace.FlagDegraded)
@@ -261,11 +260,8 @@ func (a *Agent) Cycle(now time.Time, localTotal, localConform float64) (CycleRep
 	if rep.FailedOpen {
 		root.Flag(trace.FlagFailOpen)
 	}
-	if err != nil {
-		root.SetError(err)
-	}
 	root.Finish()
-	a.observeCycle(now, rep, err, time.Since(start))
+	a.observeCycle(now, rep, time.Since(start))
 	if a.cfg.Spans != nil {
 		sp := slo.CycleSpan{
 			At:         now,
@@ -278,21 +274,15 @@ func (a *Agent) Cycle(now time.Time, localTotal, localConform float64) (CycleRep
 			Enforced:   rep.EntitledRate,
 			Faults:     rep.Faults,
 		}
-		if err != nil {
-			// A hard failure made no enforcement decision at all — still
-			// evidence the black box wants, marked degraded with the error.
-			sp.Degraded = true
-			sp.Faults = append(append([]string(nil), rep.Faults...), "hard: "+err.Error())
-		}
 		// Attach the full span tree when tail sampling retained the trace —
-		// incident cycles (degraded/fail-open/error) always are, so replay
+		// incident cycles (degraded/fail-open) always are, so replay
 		// can print the causal path inside the cycle.
 		if t, ok := a.tracer.Tree(traceID); ok {
 			sp.Tree = t.Spans
 		}
 		a.cfg.Spans.RecordSpan(sp)
 	}
-	if err == nil && a.sloSeries != nil {
+	if a.sloSeries != nil {
 		// The agent's own conformance view: what the contract granted, what
 		// the service's conforming traffic used, and how far total demand
 		// overshot the grant (service-attributed per the §3.3 demarcation).
@@ -309,18 +299,15 @@ func (a *Agent) Cycle(now time.Time, localTotal, localConform float64) (CycleRep
 			Overage: over,
 		})
 	}
-	return rep, err
+	return rep, nil
 }
 
 // observeCycle maintains the enforcement metrics after one cycle: the
 // duration histogram, per-mode counters, and the transition-tracked
 // degraded/fail-open gauges.
-func (a *Agent) observeCycle(now time.Time, rep CycleReport, err error, took time.Duration) {
+func (a *Agent) observeCycle(now time.Time, rep CycleReport, took time.Duration) {
 	mCycles.Inc()
 	mCycleSeconds.ObserveDuration(took)
-	if err != nil {
-		return // hard failure: no decision was made, modes are unchanged
-	}
 	if !rep.Degraded {
 		// Sub-second resolution: chaos tests assert this gauge freezes
 		// during an outage and strictly advances on recovery, with cycle
@@ -365,7 +352,7 @@ func (a *Agent) startPhase(tc trace.Context, name string, dep spanSetter) trace.
 
 // cycle is the uninstrumented cycle body; see Cycle. tc is the cycle root
 // span's context; each phase below is a child span under it.
-func (a *Agent) cycle(now time.Time, localTotal, localConform float64, tc trace.Context) (CycleReport, error) {
+func (a *Agent) cycle(now time.Time, localTotal, localConform float64, tc trace.Context) CycleReport {
 	var rep CycleReport
 	// 1. Publish this host's rates (best effort: losing one publish only
 	// fades this host out of the remote aggregate once its TTL passes).
@@ -415,7 +402,7 @@ func (a *Agent) cycle(now time.Time, localTotal, localConform float64, tc trace.
 	if !a.aggOK || !a.entOK {
 		// Never had a good answer (e.g. servers down since startup):
 		// nothing to be fail-static about — fail open.
-		return a.failOpen(rep), nil
+		return a.failOpen(rep)
 	}
 	if stale := now.Sub(a.aggAt); stale > rep.StaleFor {
 		rep.StaleFor = stale
@@ -424,7 +411,7 @@ func (a *Agent) cycle(now time.Time, localTotal, localConform float64, tc trace.
 		rep.StaleFor = stale
 	}
 	if rep.StaleFor > a.cfg.StalenessBudget {
-		return a.failOpen(rep), nil
+		return a.failOpen(rep)
 	}
 	rep.TotalRate, rep.ConformRate = a.aggTotal, a.aggConform
 	if !a.entFound {
@@ -432,7 +419,7 @@ func (a *Agent) cycle(now time.Time, localTotal, localConform float64, tc trace.
 		a.cfg.Prog.Actions.Delete(a.key)
 		a.cfg.Meter.Reset()
 		rep.ConformRatio = 1
-		return rep, nil
+		return rep
 	}
 	rep.Enforced = true
 	rep.EntitledRate = a.entRate
@@ -448,7 +435,7 @@ func (a *Agent) cycle(now time.Time, localTotal, localConform float64, tc trace.
 	})
 	apply.Annotate(fmt.Sprintf("conform_ratio %.3f groups %d", ratio, rep.NonConformGroups))
 	apply.Finish()
-	return rep, nil
+	return rep
 }
 
 // failOpen clears the marking action and reports an un-enforced cycle. The

@@ -2,6 +2,7 @@ package enforce
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -9,6 +10,7 @@ import (
 	"entitlement/internal/contract"
 	"entitlement/internal/contractdb"
 	"entitlement/internal/kvstore"
+	"entitlement/internal/obs"
 	"entitlement/internal/topology"
 )
 
@@ -244,5 +246,74 @@ func TestCyclePartialOutageContractOnly(t *testing.T) {
 	}
 	if rep.StaleFor != 10*time.Second {
 		t.Errorf("StaleFor = %v, want 10s (contract cache age)", rep.StaleFor)
+	}
+}
+
+// TestAgentMetricsTransitions checks the transition semantics of the
+// enforcement gauges/counters through the scraped exposition: a fleet-wide
+// dashboard needs failopen_transitions_total to fire once per outage, not
+// once per cycle, and the *_agents gauges to fall back to their baseline
+// after recovery.
+func TestAgentMetricsTransitions(t *testing.T) {
+	scrape := func() obs.Scrape {
+		var b strings.Builder
+		obs.Default().WritePrometheus(&b)
+		s, err := obs.ParseText(strings.NewReader(b.String()))
+		if err != nil {
+			t.Fatalf("scrape: %v", err)
+		}
+		return s
+	}
+	a, _, ts, td := degradedFixture(t, time.Minute)
+	now := tStart.Add(time.Hour)
+	if _, err := a.Cycle(now, 10e12, 10e12); err != nil {
+		t.Fatal(err)
+	}
+	base := scrape()
+
+	// Outage: several degraded cycles, then past the budget → fail-open.
+	ts.down, td.down = true, true
+	for i := 1; i <= 3; i++ { // within budget: degraded, fail-static
+		if _, err := a.Cycle(now.Add(time.Duration(i)*time.Second), 10e12, 10e12); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 3; i++ { // past budget: fail-open, repeatedly
+		rep, err := a.Cycle(now.Add(2*time.Minute+time.Duration(i)*time.Second), 10e12, 10e12)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rep.FailedOpen {
+			t.Fatal("cycle past budget did not fail open")
+		}
+	}
+	mid := scrape()
+	if got := mid.Value("entitlement_enforce_degraded_agents") - base.Value("entitlement_enforce_degraded_agents"); got != 1 {
+		t.Errorf("degraded_agents delta during outage = %v, want 1", got)
+	}
+	if got := mid.Value("entitlement_enforce_failopen_agents") - base.Value("entitlement_enforce_failopen_agents"); got != 1 {
+		t.Errorf("failopen_agents delta during outage = %v, want 1", got)
+	}
+	if got := mid.Value("entitlement_enforce_failopen_transitions_total") - base.Value("entitlement_enforce_failopen_transitions_total"); got != 1 {
+		t.Errorf("failopen_transitions delta = %v, want exactly 1 despite 3 fail-open cycles", got)
+	}
+	if got := mid.Value("entitlement_enforce_degraded_cycles_total") - base.Value("entitlement_enforce_degraded_cycles_total"); got != 6 {
+		t.Errorf("degraded_cycles delta = %v, want 6", got)
+	}
+
+	// Recovery: dependencies return, gauges fall back, stale age resets.
+	ts.down, td.down = false, false
+	if _, err := a.Cycle(now.Add(3*time.Minute), 10e12, 10e12); err != nil {
+		t.Fatal(err)
+	}
+	after := scrape()
+	if got := after.Value("entitlement_enforce_degraded_agents") - base.Value("entitlement_enforce_degraded_agents"); got != 0 {
+		t.Errorf("degraded_agents delta after recovery = %v, want 0", got)
+	}
+	if got := after.Value("entitlement_enforce_failopen_agents") - base.Value("entitlement_enforce_failopen_agents"); got != 0 {
+		t.Errorf("failopen_agents delta after recovery = %v, want 0", got)
+	}
+	if got := after.Value(`entitlement_enforce_stale_seconds{host="h1"}`); got != 0 {
+		t.Errorf("stale_seconds{h1} after recovery = %v, want 0", got)
 	}
 }

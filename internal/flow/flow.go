@@ -270,9 +270,6 @@ type AllocateOptions struct {
 	// Rounds is the number of water-filling rounds per class; more rounds
 	// produce finer max-min fairness at linear cost. Default 16.
 	Rounds int
-	// MaxPathLen bounds path metric stretch: a demand only uses paths with
-	// metric <= MaxPathLen. Zero means unbounded.
-	MaxPathLen float64
 }
 
 // pathCache remembers a demand's last shortest path within one allocation.
@@ -281,11 +278,10 @@ type AllocateOptions struct {
 // whose links all retain residual capacity is still a shortest path — so
 // Dijkstra re-runs only when the cached path loses a link.
 type pathCache struct {
-	path   []int
-	metric float64
-	valid  bool
-	src    int32
-	dst    int32
+	path  []int
+	valid bool
+	src   int32
+	dst   int32
 }
 
 // Runner owns a Network plus per-allocation scratch, so repeated Allocate
@@ -414,7 +410,7 @@ func (r *Runner) allocateCore(state *topology.FailureState, demands []Demand, op
 					continue
 				}
 				want := math.Min(r.remaining[di], quantum)
-				pushed := r.pushDemand(di, want, opts.MaxPathLen)
+				pushed := r.pushDemand(di, want)
 				if pushed > 1e-9 {
 					r.remaining[di] -= pushed
 					admitted[di] += pushed
@@ -429,7 +425,7 @@ func (r *Runner) allocateCore(state *topology.FailureState, demands []Demand, op
 // paths, possibly splitting across several, and returns the amount placed.
 // The demand's cached path is reused while every link on it retains residual
 // capacity; Dijkstra re-runs only when the cached path loses a link.
-func (r *Runner) pushDemand(di int, want, maxPathLen float64) float64 {
+func (r *Runner) pushDemand(di int, want float64) float64 {
 	n := r.net
 	c := &r.caches[di]
 	placed := 0.0
@@ -443,16 +439,11 @@ func (r *Runner) pushDemand(di int, want, maxPathLen float64) float64 {
 			}
 		}
 		if !c.valid {
-			metric, ok := n.shortestPathDense(c.src, c.dst)
-			if !ok || len(n.sp.path) == 0 {
+			if _, ok := n.shortestPathDense(c.src, c.dst); !ok || len(n.sp.path) == 0 {
 				break
 			}
 			c.path = append(c.path[:0], n.sp.path...)
-			c.metric = metric
 			c.valid = true
-		}
-		if maxPathLen > 0 && c.metric > maxPathLen {
-			break
 		}
 		amt := math.Min(want-placed, n.PathBottleneck(c.path))
 		if amt <= 1e-9 {

@@ -24,9 +24,6 @@ type ProphetOptions struct {
 	// WeeklyOrder is the Fourier order of the weekly seasonality. Default 3.
 	// Zero disables weekly seasonality.
 	WeeklyOrder int
-	// YearlyOrder is the Fourier order of yearly seasonality. Zero (default)
-	// disables it; quarterly entitlement windows rarely need it.
-	YearlyOrder int
 	// Holidays are day offsets (from series start) carrying a shared
 	// holiday effect: one indicator column is active on every listed day
 	// (mod 365), so future holidays inherit the effect learned from past
@@ -118,7 +115,7 @@ func FitProphet(s *timeseries.Series, opts ProphetOptions) (*Prophet, error) {
 
 // dim returns the design-matrix width.
 func (m *Prophet) dim() int {
-	d := 2 + len(m.changepoints) + 2*m.opts.WeeklyOrder + 2*m.opts.YearlyOrder
+	d := 2 + len(m.changepoints) + 2*m.opts.WeeklyOrder
 	if len(m.holidays) > 0 {
 		d++
 	}
@@ -144,11 +141,6 @@ func (m *Prophet) features(i int) []float64 {
 		row = append(row,
 			math.Sin(2*math.Pi*float64(k)*day/7),
 			math.Cos(2*math.Pi*float64(k)*day/7))
-	}
-	for k := 1; k <= m.opts.YearlyOrder; k++ {
-		row = append(row,
-			math.Sin(2*math.Pi*float64(k)*day/365.25),
-			math.Cos(2*math.Pi*float64(k)*day/365.25))
 	}
 	if len(m.holidays) > 0 {
 		ind := 0.0

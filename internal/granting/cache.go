@@ -32,6 +32,7 @@ import (
 
 	"entitlement/internal/contract"
 	"entitlement/internal/flow"
+	"entitlement/internal/forecast"
 	"entitlement/internal/risk"
 	"entitlement/internal/topology"
 )
@@ -120,7 +121,7 @@ func batchSig(reqSigs []string, o *Options) string {
 	b.WriteByte('|')
 	b.WriteString("false") // a risk option deleted in ISSUE 22; journals written before it carry this signature
 	b.WriteByte('|')
-	b.WriteString(strconv.Itoa(o.PeriodDays))
+	b.WriteString(strconv.Itoa(forecast.QuarterDays)) // the contract period in days, as journals always carried it
 	b.WriteString("|neg:")
 	b.WriteString(strconv.FormatBool(o.Approval.Negotiation.Enabled))
 	b.WriteByte('|')

@@ -68,7 +68,7 @@ func pipelineDecisions(t *testing.T, rateTbps float64, negotiate bool, workers i
 		t.Fatal(err)
 	}
 	reqs := core.GrantRequests(rep.Hoses, opts, start.Unix())
-	decs, err := granting.DecideBatch(topo, reqs, granting.Options{Approval: appr, PeriodDays: forecast.QuarterDays})
+	decs, err := granting.DecideBatch(topo, reqs, granting.Options{Approval: appr})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -196,15 +196,9 @@ type Options struct {
 	// Approval configures Algorithm 2 (representative TMs, risk simulation,
 	// seeds, default SLO). Risk.Workers does not affect decisions.
 	Approval approval.Options
-	// PeriodDays is the enforcement-period length for granted contracts.
-	// Default forecast.QuarterDays.
-	PeriodDays int
 	// MaxBatch bounds how many queued single submissions coalesce into one
 	// risk pass. Default 16.
 	MaxBatch int
-	// Retain bounds how many decided requests the service keeps queryable.
-	// Default 1024.
-	Retain int
 	// MemoMaxEntries bounds the decision memo (whole-batch LRU entries kept
 	// warm between topology deltas). Default 1024; evictions are counted by
 	// entitlement_grantd_memo_evictions_total.
@@ -232,15 +226,12 @@ type Options struct {
 	Tracer *trace.Collector
 }
 
+// retain is how many decided requests the service keeps queryable.
+const retain = 1024
+
 func (o Options) withDefaults() Options {
-	if o.PeriodDays <= 0 {
-		o.PeriodDays = forecast.QuarterDays
-	}
 	if o.MaxBatch <= 0 {
 		o.MaxBatch = 16
-	}
-	if o.Retain <= 0 {
-		o.Retain = 1024
 	}
 	if o.MemoMaxEntries <= 0 {
 		o.MemoMaxEntries = 1024
@@ -424,7 +415,7 @@ func buildDecision(req *Request, d *Decision, o *Options, now time.Time) {
 	if req.StartUnix != 0 {
 		start = time.Unix(req.StartUnix, 0).UTC()
 	}
-	end := start.Add(time.Duration(o.PeriodDays) * 24 * time.Hour)
+	end := start.Add(forecast.QuarterDays * 24 * time.Hour) // granted contracts run one quarter
 	c := &contract.Contract{NPG: req.NPG, SLO: o.slo(req), Approved: true}
 	for hi := range req.Hoses {
 		h := &req.Hoses[hi]

@@ -28,7 +28,6 @@ func testOptions(workers int) Options {
 			Risk:              risk.Options{Scenarios: 60, Seed: 11, Workers: workers},
 			Seed:              7,
 		},
-		PeriodDays: 90,
 	}
 }
 

@@ -78,8 +78,8 @@ type WALOptions struct {
 	// journal rotates (snapshot + prune) once the records appended after
 	// the generation's opening snapshot reach max(CheckpointBytes, snapshot
 	// bytes). Growing the bound with the snapshot keeps write amplification
-	// and replay size within 2x of the log for any Retain and decision
-	// size. Default 1 MiB.
+	// and replay size within 2x of the log however large the snapshot
+	// grows. Default 1 MiB.
 	CheckpointBytes int64
 
 	// create makes an empty generation file; nil creates it on disk. The

@@ -178,7 +178,7 @@ func submitWait(t testing.TB, svc *Service, req Request) (string, *Decision) {
 // is full, the regime a long-running grantd settles into.
 func fillRing(t testing.TB, svc *Service, pool []Request) {
 	t.Helper()
-	for i := 0; i < svc.opts.Retain; i++ {
+	for i := 0; i < retain; i++ {
 		submitWait(t, svc, pool[i%len(pool)])
 	}
 }
@@ -368,10 +368,10 @@ func TestJournalFailedRotation(t *testing.T) {
 }
 
 // TestJournalAmortisedAtDefaults pins the checkpoint amortisation at
-// cmd/grantd's journal defaults (Retain 1024, -checkpoint-bytes 1 MiB,
-// -fsync batch): with the retention ring full of four-hose decisions the
-// snapshot alone is larger than CheckpointBytes, and the journal must still
-// cost about what its records cost.
+// cmd/grantd's journal defaults (a 1024-decision retention ring,
+// -checkpoint-bytes 1 MiB, -fsync batch): with the retention ring full of
+// four-hose decisions the snapshot alone is larger than CheckpointBytes, and
+// the journal must still cost about what its records cost.
 func TestJournalAmortisedAtDefaults(t *testing.T) {
 	if testing.Short() {
 		t.Skip("journals 1200+ decisions with fsync")

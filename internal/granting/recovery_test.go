@@ -33,8 +33,7 @@ func crashOptions(dir string) Options {
 			Risk:              risk.Options{Scenarios: 20, Seed: 11, Workers: 2},
 			Seed:              7,
 		},
-		PeriodDays: 90,
-		WAL:        WALOptions{Dir: dir, Fsync: FsyncNone},
+		WAL: WALOptions{Dir: dir, Fsync: FsyncNone},
 	}
 }
 

@@ -214,7 +214,7 @@ func (s *Service) recover(st *Recovered) {
 			}
 		}
 	}
-	for len(s.order) > s.opts.Retain {
+	for len(s.order) > retain {
 		delete(s.decided, s.order[0])
 		s.order = s.order[1:]
 	}
@@ -719,7 +719,7 @@ func (s *Service) publishLocked(b decidedBatch) {
 	s.stats.countDecided(b.decs)
 	s.stats.MemoHits += b.hits
 	s.stats.MemoMisses += b.misses
-	for len(s.order) > s.opts.Retain {
+	for len(s.order) > retain {
 		delete(s.decided, s.order[0])
 		s.order = s.order[1:]
 	}

@@ -1,7 +1,6 @@
 package integration
 
 import (
-	"context"
 	"fmt"
 	"net"
 	"net/http"
@@ -406,9 +405,9 @@ func waitForGoroutines(t *testing.T, base int) {
 
 // TestAgentRunNotWedgedByDeadServer is the regression test for the
 // original failure mode: wire.Client.Call blocking forever on a peer that
-// accepts connections but never answers, wedging Agent.Run. With per-call
-// deadlines the loop must keep cycling (degraded) and stop promptly on
-// context cancellation.
+// accepts connections but never answers, wedging the agent's cycle loop.
+// With per-call deadlines the loop must keep cycling (degraded) and stop
+// promptly when its time is up.
 func TestAgentRunNotWedgedByDeadServer(t *testing.T) {
 	// A listener that accepts and then ignores its connections.
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -459,26 +458,27 @@ func TestAgentRunNotWedgedByDeadServer(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ctx, cancel := context.WithTimeout(context.Background(), 1500*time.Millisecond)
-	defer cancel()
+	// Cycle every 50ms for 1.5s, the way cmd/agent's loop drives an agent.
 	cycles := 0
-	done := make(chan error, 1)
+	done := make(chan struct{})
 	start := time.Now()
 	go func() {
-		done <- a.Run(ctx, func() (float64, float64) { return 1e9, 1e9 }, enforce.RunOptions{
-			Period:  50 * time.Millisecond,
-			OnCycle: func(enforce.CycleReport) { cycles++ },
-		})
+		defer close(done)
+		for time.Since(start) < 1500*time.Millisecond {
+			a.Cycle(time.Now(), 1e9, 1e9)
+			cycles++
+			time.Sleep(50 * time.Millisecond)
+		}
 	}()
-	// The ctx may expire mid-cycle; the in-flight cycle still burns its
-	// bounded call deadlines, and -race on a loaded single-core machine adds
-	// heavy scheduler slack on top. The property under test is that Run is
+	// The last cycle may start just before 1.5s and still burn its bounded
+	// call deadlines, and -race on a loaded single-core machine adds heavy
+	// scheduler slack on top. The property under test is that a cycle is
 	// bounded at all — the pre-deadline client blocked here forever.
 	select {
 	case <-done:
-		t.Logf("Run returned after %v (ctx was 1.5s)", time.Since(start))
+		t.Logf("loop ended after %v (ran 1.5s)", time.Since(start))
 	case <-time.After(10 * time.Second):
-		t.Fatal("Agent.Run wedged on a never-responding server")
+		t.Fatal("Agent.Cycle wedged on a never-responding server")
 	}
 	if cycles < 3 {
 		t.Errorf("only %d cycles completed against a dead server", cycles)

@@ -11,11 +11,12 @@ import (
 // Defaults for Options; chosen so one enforcement cycle or one decide batch
 // always fits the staging ring with two orders of magnitude to spare.
 const (
-	DefaultCapacity         = 4096
-	DefaultMaxTraces        = 256
-	DefaultMaxPending       = 512
-	DefaultMaxSpansPerTrace = 512
-	DefaultSampleRate       = 0.05
+	DefaultCapacity   = 4096
+	DefaultMaxTraces  = 256
+	DefaultMaxPending = 512
+	DefaultSampleRate = 0.05
+	// maxSpansPerTrace caps one trace's span count; overflow is dropped.
+	maxSpansPerTrace = 512
 	// dynSlowMinRoots is how many root spans the dynamic p99 estimator
 	// needs before it starts flagging slow traces.
 	dynSlowMinRoots = 64
@@ -34,8 +35,6 @@ type Options struct {
 	// MaxPending bounds traces whose root has not finished yet (FIFO
 	// eviction; evicted spans are counted dropped).
 	MaxPending int
-	// MaxSpansPerTrace caps one trace's span count; overflow is dropped.
-	MaxSpansPerTrace int
 	// SampleRate is the probability a healthy trace (no flags anywhere) is
 	// retained, decided deterministically from the trace ID. Negative
 	// means 0 (the zero value means DefaultSampleRate).
@@ -58,9 +57,6 @@ func (o Options) withDefaults() (Options, bool) {
 	}
 	if o.MaxPending <= 0 {
 		o.MaxPending = DefaultMaxPending
-	}
-	if o.MaxSpansPerTrace <= 0 {
-		o.MaxSpansPerTrace = DefaultMaxSpansPerTrace
 	}
 	if o.SampleRate == 0 {
 		o.SampleRate = DefaultSampleRate
@@ -235,7 +231,7 @@ func (c *Collector) ingestLocked(r *rec) {
 	if tb, ok := c.retained[k]; ok {
 		// Late span for an already-retained trace (a child finished after
 		// the root — legal, if unusual, ordering).
-		if len(tb.spans) >= c.opts.MaxSpansPerTrace {
+		if len(tb.spans) >= maxSpansPerTrace {
 			mDropped.Inc()
 			return
 		}
@@ -252,7 +248,7 @@ func (c *Collector) ingestLocked(r *rec) {
 		c.pending[k] = tb
 		c.pendingOrder = append(c.pendingOrder, k)
 	}
-	if len(tb.spans) >= c.opts.MaxSpansPerTrace {
+	if len(tb.spans) >= maxSpansPerTrace {
 		mDropped.Inc()
 		return
 	}

@@ -27,21 +27,18 @@ type Options struct {
 	// network is always analyzed as one more. Default 200.
 	Scenarios int
 	Seed      int64
-	Alloc     flow.AllocateOptions
-	// SaturationThreshold marks a link binding when its utilization
-	// exceeds this fraction while demand is unmet. Default 0.999.
-	SaturationThreshold float64
 	// Workers is risk.Options.Workers: results are identical for every
 	// value.
 	Workers int
 }
 
+// saturationThreshold is the utilization at which a link counts as binding
+// while demand is unmet.
+const saturationThreshold = 0.999
+
 func (o Options) withDefaults() Options {
 	if o.Scenarios <= 0 {
 		o.Scenarios = 200
-	}
-	if o.SaturationThreshold <= 0 || o.SaturationThreshold > 1 {
-		o.SaturationThreshold = 0.999
 	}
 	return o
 }
@@ -98,7 +95,7 @@ func Analyze(topo *topology.Topology, demands []flow.Demand, opts Options) (*Rep
 	bindCount := make([]int, topo.NumLinks())
 	bindShortfall := make([]float64, topo.NumLinks())
 	admittedSum, scenarios := 0.0, 0
-	err := risk.Simulate(topo, demands, risk.Options{Scenarios: o.Scenarios, Seed: o.Seed, Workers: o.Workers, Alloc: o.Alloc},
+	err := risk.Simulate(topo, demands, risk.Options{Scenarios: o.Scenarios, Seed: o.Seed, Workers: o.Workers},
 		func(st *risk.State) {
 			admitted := 0.0
 			for _, a := range st.Admitted {
@@ -112,7 +109,7 @@ func Analyze(topo *topology.Topology, demands []flow.Demand, opts Options) (*Rep
 			}
 			for id := range topo.Links {
 				capacity := topo.Links[id].Capacity
-				if st.Failure.IsUp(id) && capacity-st.Net.Residual(id) >= capacity*o.SaturationThreshold {
+				if st.Failure.IsUp(id) && capacity-st.Net.Residual(id) >= capacity*saturationThreshold {
 					bindCount[id] += st.Count
 					bindShortfall[id] += shortfall * float64(st.Count)
 				}

@@ -63,7 +63,7 @@ func (c *ResultCache) Len() int {
 }
 
 // assessID is the identity of an assessment: the topology instance plus a
-// rendering of the sampling and allocation options and the full demand list.
+// rendering of the sampling options and the full demand list.
 // Workers is excluded — worker count never changes results.
 type assessID struct {
 	topo *topology.Topology
@@ -75,10 +75,6 @@ func newAssessID(topo *topology.Topology, demands []flow.Demand, opts Options) a
 	b = strconv.AppendInt(b, int64(opts.Scenarios), 10)
 	b = append(b, '|')
 	b = strconv.AppendInt(b, opts.Seed, 10)
-	b = append(b, '|')
-	b = strconv.AppendInt(b, int64(opts.Alloc.Rounds), 10)
-	b = append(b, '|')
-	b = strconv.AppendUint(b, math.Float64bits(opts.Alloc.MaxPathLen), 16)
 	b = append(b, '|')
 	for _, d := range demands {
 		b = append(b, d.Key...)

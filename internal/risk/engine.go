@@ -145,7 +145,7 @@ func (s *scenarioSet) run(topo *topology.Topology, demands []flow.Demand, opts O
 		for c := int(next.Add(1)) - 1; c < len(s.classes); c = int(next.Add(1)) - 1 {
 			begin := time.Now()
 			st.Failure, st.Count = s.classes[c].down, s.classes[c].count
-			st.Admitted = r.AllocateInto(st.Failure, demands, opts.Alloc, st.Admitted)
+			st.Admitted = r.AllocateInto(st.Failure, demands, flow.AllocateOptions{}, st.Admitted)
 			mScenarioSeconds.ObserveSince(begin)
 			mu.Lock()
 			for visited != c {

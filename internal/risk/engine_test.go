@@ -31,7 +31,7 @@ func naivePass(topo *topology.Topology, demands []flow.Demand, opts Options) []n
 			state = topo.SampleFailureAt(opts.Seed, j)
 		}
 		r := flow.NewRunner(topo)
-		adm := r.AllocateInto(state, demands, opts.Alloc, nil)
+		adm := r.AllocateInto(state, demands, flow.AllocateOptions{}, nil)
 		slots = append(slots, naiveSlot{down: state.Down, admitted: adm, used: linkUsage(topo, state, r.Network())})
 	}
 	return slots

@@ -87,7 +87,6 @@ type Options struct {
 	// for every value because every scenario's state is a pure function of
 	// (Seed, scenario) and visits run in class order.
 	Workers int
-	Alloc   flow.AllocateOptions
 	// Pool, when non-nil and bound to the assessed topology, supplies the
 	// per-worker flow.Runners instead of constructing fresh ones, so a
 	// long-running service reuses allocator scratch across assessments.

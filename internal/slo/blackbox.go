@@ -142,12 +142,6 @@ type BlackboxOptions struct {
 	// records are dropped (counted, surfaced in the envelope) rather than
 	// growing without bound. Default MaxBytes/4.
 	MaxIncidentBytes int64
-	// SpanRing is how many pre-incident cycle spans are retained while
-	// disarmed, to give the capture lead-up context. Default 256.
-	SpanRing int
-	// Envelopes is how many closed-incident envelopes are kept in memory
-	// for the /slo/incidents handler. Default 16.
-	Envelopes int
 	// Logger receives arm/close/degrade events. Nil disables logging.
 	Logger *slog.Logger
 }
@@ -159,14 +153,16 @@ func (o BlackboxOptions) withDefaults() BlackboxOptions {
 	if o.MaxIncidentBytes <= 0 {
 		o.MaxIncidentBytes = o.MaxBytes / 4
 	}
-	if o.SpanRing <= 0 {
-		o.SpanRing = 256
-	}
-	if o.Envelopes <= 0 {
-		o.Envelopes = 16
-	}
 	return o
 }
+
+// leadUpSpans is how many pre-incident cycle spans are retained while
+// disarmed, to give the capture lead-up context; keptEnvelopes is how many
+// closed-incident envelopes are kept in memory for /slo/incidents.
+const (
+	leadUpSpans   = 256
+	keptEnvelopes = 16
+)
 
 // maxArmedSpans bounds the spans buffered between evaluations while armed;
 // beyond it spans are dropped (counted), protecting memory if Evaluate
@@ -223,7 +219,7 @@ func NewBlackbox(opts BlackboxOptions) (*Blackbox, error) {
 	}
 	bb := &Blackbox{
 		opts:     opts,
-		spanRing: make([]CycleSpan, opts.SpanRing),
+		spanRing: make([]CycleSpan, leadUpSpans),
 		genBytes: make(map[uint64]int64),
 		nextGen:  1,
 	}
@@ -247,8 +243,8 @@ func NewBlackbox(opts BlackboxOptions) (*Blackbox, error) {
 	}
 	// Reload the most recent envelopes, oldest first.
 	start := 0
-	if len(bb.gens) > opts.Envelopes {
-		start = len(bb.gens) - opts.Envelopes
+	if len(bb.gens) > keptEnvelopes {
+		start = len(bb.gens) - keptEnvelopes
 	}
 	for _, gen := range bb.gens[start:] {
 		if env := loadEnvelope(opts.Dir, gen); env != nil {
@@ -327,21 +323,17 @@ func (bb *Blackbox) Armed() bool {
 func (bb *Blackbox) Envelopes() []*Envelope {
 	bb.mu.Lock()
 	defer bb.mu.Unlock()
-	out := make([]*Envelope, len(bb.envs))
-	copy(out, bb.envs)
-	return out
+	return append([]*Envelope(nil), bb.envs...)
 }
 
 // IncidentsHandler serves the closed-incident envelopes (oldest first) plus
 // the live armed flag as JSON — the /slo/incidents endpoint.
 func (bb *Blackbox) IncidentsHandler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		bb.mu.Lock()
 		resp := struct {
 			Armed     bool        `json:"armed"`
 			Incidents []*Envelope `json:"incidents"`
-		}{bb.armed, append([]*Envelope(nil), bb.envs...)}
-		bb.mu.Unlock()
+		}{bb.Armed(), bb.Envelopes()}
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
@@ -596,8 +588,8 @@ func (bb *Blackbox) closeIncidentLocked(e *Engine, now time.Time) {
 		}
 	}
 	bb.envs = append(bb.envs, env)
-	if len(bb.envs) > bb.opts.Envelopes {
-		bb.envs = bb.envs[len(bb.envs)-bb.opts.Envelopes:]
+	if len(bb.envs) > keptEnvelopes {
+		bb.envs = bb.envs[len(bb.envs)-keptEnvelopes:]
 	}
 
 	// Back to disarmed: stale pre-incident context must not leak into the

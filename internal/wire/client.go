@@ -31,9 +31,6 @@ type ClientOptions struct {
 	// round trip (applied via SetDeadline on the connection). Default 10s;
 	// negative means no deadline.
 	CallTimeout time.Duration
-	// DisableReconnect stops the client from re-dialing a broken
-	// connection; a broken client then fails every Call until Close.
-	DisableReconnect bool
 	// MinBackoff and MaxBackoff bound the exponential re-dial backoff.
 	// After a failed dial the client refuses further dial attempts until a
 	// jittered delay in [backoff/2, backoff] has passed, doubling up to
@@ -305,7 +302,7 @@ func (c *Client) bumpBackoffLocked() {
 }
 
 // ensureConn returns a live connection (and whether it negotiated the
-// binary codec), re-dialing if allowed.
+// binary codec), re-dialing when the backoff gate allows.
 func (c *Client) ensureConn() (net.Conn, *bufio.Reader, bool, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -314,9 +311,6 @@ func (c *Client) ensureConn() (net.Conn, *bufio.Reader, bool, error) {
 	}
 	if c.conn != nil {
 		return c.conn, c.br, c.connBinary, nil
-	}
-	if c.opts.DisableReconnect {
-		return nil, nil, false, ErrBrokenConn
 	}
 	if now := c.opts.Now(); now.Before(c.nextDialAt) {
 		mClientBackoff.Inc()

@@ -14,10 +14,6 @@ var ErrMessageTooLarge = errors.New("wire: message exceeds size limit")
 // ErrClientClosed is returned by Call after Close.
 var ErrClientClosed = errors.New("wire: client closed")
 
-// ErrBrokenConn is returned when the connection is broken and the client
-// may not re-dial (ClientOptions.DisableReconnect).
-var ErrBrokenConn = errors.New("wire: connection broken")
-
 // TransientError wraps a failure worth retrying: connection loss, dial
 // failures, deadline expiry, or the backoff gate rejecting a call while a
 // re-dial is pending. Permanent failures — a RemoteError (the server is up
@@ -107,7 +103,7 @@ func IsTransient(err error) bool {
 		return true
 	}
 	return errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) ||
-		errors.Is(err, net.ErrClosed) || errors.Is(err, ErrBrokenConn)
+		errors.Is(err, net.ErrClosed)
 }
 
 // RemoteError is a server-side failure surfaced to the caller: the server

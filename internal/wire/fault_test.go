@@ -33,7 +33,6 @@ func TestIsTransientClassification(t *testing.T) {
 		{&RemoteError{Method: "m", Message: "boom"}, false},
 		{ErrMessageTooLarge, false},
 		{ErrClientClosed, false},
-		{ErrBrokenConn, true},
 		{io.EOF, true},
 		{io.ErrUnexpectedEOF, true},
 		{net.ErrClosed, true},

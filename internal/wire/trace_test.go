@@ -274,7 +274,7 @@ func TestRequestIDOnErrors(t *testing.T) {
 
 // TestResponseIDMismatchBreaksConnection: a response carrying a different
 // request's ID means the stream is desynced; the client must fail the call
-// transiently and drop the connection.
+// transiently and drop the connection, so the next call re-dials.
 func TestResponseIDMismatchBreaksConnection(t *testing.T) {
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -284,33 +284,39 @@ func TestResponseIDMismatchBreaksConnection(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		server, err := l.Accept()
-		if err != nil {
-			return
+		// The first connection answers with a stranger's ID, the second
+		// one correctly.
+		for _, wrongID := range []bool{true, false} {
+			server, err := l.Accept()
+			if err != nil {
+				return
+			}
+			var req Request
+			if err := ReadMessage(server, &req); err == nil {
+				id := req.ID
+				if wrongID {
+					id = "not-your-request"
+				}
+				WriteMessage(server, &Response{ID: id})
+			}
+			server.Close()
 		}
-		defer server.Close()
-		var req Request
-		if err := ReadMessage(server, &req); err != nil {
-			return
-		}
-		WriteMessage(server, &Response{ID: "not-your-request"})
 	}()
-	c, err := DialOpts(l.Addr().String(), ClientOptions{DisableReconnect: true})
+	c, err := DialOpts(l.Addr().String(), ClientOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 	err = c.Call("m", nil, nil)
-	<-done
 	if !IsTransient(err) {
 		t.Fatalf("want transient desync error, got %v", err)
 	}
 	if !strings.Contains(err.Error(), "not-your-request") {
 		t.Fatalf("error %q does not explain the ID mismatch", err)
 	}
-	// The connection must be marked broken: with re-dialing disabled the
-	// next call fails fast.
-	if err := c.Call("m2", nil, nil); !errors.Is(err, ErrBrokenConn) {
-		t.Fatalf("connection not marked broken after desync: %v", err)
+	// Only a fresh connection reaches the second accept.
+	if err := c.Call("m2", nil, nil); err != nil {
+		t.Fatalf("call after desync did not re-dial: %v", err)
 	}
+	<-done
 }
