@@ -162,12 +162,13 @@ trace:
 # Wire compatibility matrix: every codec pairing (binary client vs JSON
 # server and the reverse, JSON payloads inside the binary envelope
 # included), old frames without Trace/ID, torn and oversized binary frames
-# answered with error responses, and the mid-connection JSON-after-binary
-# regression — all under the race detector, across the wire and kvstore
-# layers.
+# answered with error responses, the mid-connection JSON-after-binary
+# regression, and a kvstore client against a server from before the
+# "exchange" method — all under the race detector, across the wire and
+# kvstore layers.
 wirecompat:
 	$(call go_test_run,-race -count=1 -timeout 120s,TestWireCompatMatrix|TestOldFrameWithoutTraceOrID|TestBinaryServerRejectsJSONFrameMidConnection|TestBinaryServerRejectsTornAndOversizedFrames|TestBinaryServerRejectsUnparseableJSONFrame|TestNegotiationFallbackToJSON|TestRenegotiateAfterReconnect|TestCrossCodecGolden|TestCallBinaryServerMisbehaves|TestClientNegotiateServerMisbehaves,./internal/wire/)
-	$(call go_test_run,-race -count=1 -timeout 120s,TestClientCodecMatrix|TestBinaryPutKeysDoNotAliasFrameBuffer,./internal/kvstore/)
+	$(call go_test_run,-race -count=1 -timeout 120s,TestClientCodecMatrix|TestBinaryPutKeysDoNotAliasFrameBuffer|TestExchangeFallsBackOnOldServer,./internal/kvstore/)
 
 # Short fuzz pass over every parser that faces untrusted bytes: the wire
 # JSON framing and binary envelope, the record log's frame scanner, the
@@ -191,7 +192,7 @@ fuzz-smoke:
 # along) and the packages that define them. Each is the only definition of its
 # number; TestCommittedBaselineParses (cmd/benchgate) fails tier-1 when one of
 # these names is missing from the packages' test files or from BENCH.txt.
-BENCH_GATE := BenchmarkAllocateRunner|BenchmarkKVStoreAggregation|BenchmarkAssessCold|BenchmarkAssessWarm|BenchmarkSLORecord|BenchmarkSLOEvaluate|BenchmarkBlackboxAppend|BenchmarkBlackboxAppendDisarmed|BenchmarkIncidentReplay|BenchmarkSpanStart|BenchmarkSpanFinish|BenchmarkSpanStartFinish|BenchmarkSpanChildStartFinish|BenchmarkContextEncode|BenchmarkContextParse|BenchmarkTraceAssembly|BenchmarkKVPutCodec|BenchmarkClientPutBinary|BenchmarkClientPutJSON
+BENCH_GATE := BenchmarkAllocateRunner|BenchmarkKVStoreAggregation|BenchmarkAssessCold|BenchmarkAssessWarm|BenchmarkSLORecord|BenchmarkSLOEvaluate|BenchmarkBlackboxAppend|BenchmarkBlackboxAppendDisarmed|BenchmarkIncidentReplay|BenchmarkSpanStart|BenchmarkSpanFinish|BenchmarkSpanStartFinish|BenchmarkSpanChildStartFinish|BenchmarkContextEncode|BenchmarkContextParse|BenchmarkTraceAssembly|BenchmarkKVPutCodec|BenchmarkClientPutBinary|BenchmarkClientPutJSON|BenchmarkClientExchangeBinary
 BENCH_GATE_PKGS := . ./internal/risk/ ./internal/slo/ ./internal/obs/trace/ ./schema/v1/ ./internal/kvstore/
 
 # Five samples of each into .bench-fresh/BENCH.txt (go test runs benchmark

@@ -131,7 +131,7 @@ func TestDegraded(t *testing.T) {
 	if degraded < 0 || failOpen < degraded {
 		t.Errorf("stdout does not go DEGRADED, then FAIL-OPEN:\n%s", out)
 	}
-	if !strings.Contains(stderr.String(), "cycle   1: fault: publish total: ") {
+	if !strings.Contains(stderr.String(), "cycle   1: fault: rate exchange: ") {
 		t.Errorf("stderr lacks cycle 1's fault lines:\n%s", stderr.String())
 	}
 	// Cycle 0 was healthy (Debug), cycle 1 degraded (Warn); cycle_id is the

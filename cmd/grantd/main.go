@@ -162,10 +162,7 @@ func runDemo(w io.Writer, g cli.Grant) error {
 		if err != nil {
 			return err
 		}
-		rep, err := agent.Cycle(now, 30e9, 30e9)
-		if err != nil {
-			return err
-		}
+		rep, _ := agent.Cycle(now, 30e9, 30e9)
 		fmt.Fprintf(w, "agent %s: enforced=%v entitled=%.1fG service-wide rate=%.1fG\n",
 			host, rep.Enforced, rep.EntitledRate/1e9, rep.TotalRate/1e9)
 	}

@@ -139,10 +139,7 @@ func run(w io.Writer) error {
 	now := start.Add(24 * time.Hour)
 	for cycle := 0; cycle < 4; cycle++ {
 		for _, h := range hostsState {
-			rep, err := h.agent.Cycle(now, perHost, perHost)
-			if err != nil {
-				return err
-			}
+			rep, _ := h.agent.Cycle(now, perHost, perHost)
 			if cycle == 3 {
 				// Show the programmed kernel action and a sample packet.
 				pkt := h.prog.Egress(bpf.Packet{

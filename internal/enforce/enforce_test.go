@@ -486,10 +486,7 @@ func TestAgentRunLoopSurvivesErrors(t *testing.T) {
 // failingStore always errors — failure-injection double for the rate store.
 type failingStore struct{}
 
-func (failingStore) Put(string, float64, time.Duration) error { return errKVDown }
-func (failingStore) Get(string) (float64, bool, error)        { return 0, false, errKVDown }
-func (failingStore) SumPrefix(string) (float64, error)        { return 0, errKVDown }
-func (failingStore) Delete(string) error                      { return errKVDown }
+func (failingStore) Exchange([]kvstore.Publish, []string, []float64) error { return errKVDown }
 
 var errKVDown = errors.New("kvstore unavailable")
 

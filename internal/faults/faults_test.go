@@ -3,6 +3,7 @@ package faults
 import (
 	"errors"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -65,19 +66,17 @@ func TestInjectorDeterministicProbability(t *testing.T) {
 func TestFlakyRatesPassesThrough(t *testing.T) {
 	inj := NewInjector(1, func() time.Time { return time.Time{} })
 	f := &FlakyRates{Inner: kvstore.New(), Inj: inj}
-	if err := f.Put("k", 3, 0); err != nil {
-		t.Fatal(err)
-	}
-	v, ok, err := f.Get("k")
-	if err != nil || !ok || v != 3 {
-		t.Fatalf("get = %v %v %v", v, ok, err)
+	sums := make([]float64, 1)
+	if err := f.Exchange([]kvstore.Publish{{Key: "k/a", Value: 3}}, []string{"k/"}, sums); err != nil || sums[0] != 3 {
+		t.Fatalf("exchange = %v %v", sums, err)
 	}
 	inj.SetFailProb(1)
-	if err := f.Put("k", 4, 0); !errors.Is(err, ErrInjected) {
-		t.Errorf("put not failed: %v", err)
+	err := f.Exchange([]kvstore.Publish{{Key: "k/a", Value: 4}}, []string{"k/"}, sums)
+	if !errors.Is(err, ErrInjected) || !strings.Contains(err.Error(), "kvstore exchange") {
+		t.Errorf("exchange not failed at its injection point: %v", err)
 	}
-	if _, err := f.SumPrefix("k"); !errors.Is(err, ErrInjected) {
-		t.Errorf("sum not failed: %v", err)
+	if inj.Injected() != 1 {
+		t.Errorf("one failed exchange injected %d failures, want 1", inj.Injected())
 	}
 }
 

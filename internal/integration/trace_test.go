@@ -208,9 +208,10 @@ func TestDistributedTraceSpine(t *testing.T) {
 	}
 
 	// --- Enforcement: the agent's cycle is its own root trace with the
-	// four phase children, collected into a private collector that retains
-	// everything (SampleRate 1) so the assertion is deterministic.
-	acol := otrace.NewCollector(otrace.Options{SampleRate: 1})
+	// three phase children, and the rate exchange's one wire call under
+	// kv.exchange. The agent records into the process-wide collector, where
+	// the wire clients record too; a healthy cycle's trace is kept only
+	// when tail sampling draws it, so cycles run until one is.
 	kvL, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -233,31 +234,43 @@ func TestDistributedTraceSpine(t *testing.T) {
 		Host: "trace-host-0", NPG: "Web", Class: contract.C2Low, Region: "A",
 		DB: dbc, Rates: kvc, Meter: enforce.NewStateful(),
 		Prog: bpf.NewProgram(bpf.NewMap()), Policy: enforce.HostBased,
-		RateTTL: time.Minute, Tracer: acol,
+		RateTTL: time.Minute,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := agent.Cycle(periodStart.Add(24*time.Hour), 10e9, 10e9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, ok := otrace.ParseTraceID(rep.TraceID); !ok {
-		t.Fatalf("cycle trace ID %q is not 32-hex", rep.TraceID)
-	}
-	ctree, ok := acol.Tree(rep.TraceID)
-	if !ok {
-		t.Fatalf("cycle trace %s not retained at SampleRate 1", rep.TraceID)
+	var ctree otrace.Tree
+	for i := 0; ; i++ {
+		rep, err := agent.Cycle(periodStart.Add(24*time.Hour), 10e9, 10e9)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Degraded {
+			t.Fatalf("cycle %d degraded: %v", i, rep.Faults)
+		}
+		if _, _, ok := otrace.ParseTraceID(rep.TraceID); !ok {
+			t.Fatalf("cycle trace ID %q is not 32-hex", rep.TraceID)
+		}
+		var ok bool
+		if ctree, ok = col.Tree(rep.TraceID); ok {
+			break
+		}
+		if i == 2000 { // a miss at the 5% sampling rate has odds of 1e-45
+			t.Fatal("no cycle trace retained in 2000 cycles")
+		}
 	}
 	cspans := map[string]otrace.SpanRecord{}
 	for _, sr := range ctree.Spans {
+		if _, dup := cspans[sr.Name]; dup {
+			t.Errorf("cycle trace has two %q spans", sr.Name)
+		}
 		cspans[sr.Name] = sr
 	}
 	croot, ok := cspans["enforce.cycle"]
 	if !ok {
 		t.Fatalf("cycle trace lost its root; spans: %v", names(ctree.Spans))
 	}
-	for _, phase := range []string{"kv.publish", "kv.aggregate", "db.fetch", "meter.apply"} {
+	for _, phase := range []string{"kv.exchange", "db.fetch", "meter.apply"} {
 		sr, ok := cspans[phase]
 		if !ok {
 			t.Errorf("cycle trace missing phase %q; have %v", phase, names(ctree.Spans))
@@ -269,6 +282,16 @@ func TestDistributedTraceSpine(t *testing.T) {
 		if sr.StartNs < croot.StartNs {
 			t.Errorf("%s started before the cycle root", phase)
 		}
+	}
+	for _, gone := range []string{"kv.publish", "kv.aggregate", "wire.call.put", "wire.call.sum"} {
+		if _, ok := cspans[gone]; ok {
+			t.Errorf("cycle trace still has %q; have %v", gone, names(ctree.Spans))
+		}
+	}
+	if call, ok := cspans["wire.call.exchange"]; !ok {
+		t.Errorf("cycle trace missing wire.call.exchange; have %v", names(ctree.Spans))
+	} else if call.Parent != cspans["kv.exchange"].SpanID {
+		t.Errorf("wire.call.exchange.parent = %q, want kv.exchange %q", call.Parent, cspans["kv.exchange"].SpanID)
 	}
 	if croot.Service != "trace-host-0" {
 		t.Errorf("cycle root service %q, want trace-host-0", croot.Service)

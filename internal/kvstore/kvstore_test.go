@@ -263,11 +263,11 @@ func TestServerCloseStopsCompactionIdempotently(t *testing.T) {
 	}
 }
 
-// TestTTLParityStoreVsClient: a Put through the client must expire when the
-// same Put made directly on a Store does, at the wire's millisecond
-// granularity — on one injected clock, so nothing depends on real time. A
-// positive TTL below a millisecond used to truncate to 0 on the wire, which
-// the server stores as "no expiry".
+// TestTTLParityStoreVsClient: a Put or an Exchange through the client must
+// expire when the same call made directly on a Store does, at the wire's
+// millisecond granularity — on one injected clock, so nothing depends on
+// real time. A positive TTL below a millisecond used to truncate to 0 on
+// the wire, which the server stores as "no expiry".
 func TestTTLParityStoreVsClient(t *testing.T) {
 	var offset atomic.Int64 // nanoseconds past the base; read by server goroutines
 	base := time.Unix(1000, 0)
@@ -296,6 +296,8 @@ func TestTTLParityStoreVsClient(t *testing.T) {
 		"long":     10 * time.Second,
 		"max":      math.MaxInt64,
 	}
+	// Each TTL is stored twice on each side: under its name by Put, and
+	// under "ex/" + its name by Exchange.
 	for key, ttl := range ttls {
 		if err := direct.Put(key, 1, ttl); err != nil {
 			t.Fatal(err)
@@ -303,25 +305,36 @@ func TestTTLParityStoreVsClient(t *testing.T) {
 		if err := c.Put(key, 1, ttl); err != nil {
 			t.Fatal(err)
 		}
+		ex := []Publish{{Key: "ex/" + key, Value: 1, TTL: ttl}}
+		if err := direct.Exchange(ex, nil, nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Exchange(ex, nil, nil); err != nil {
+			t.Fatal(err)
+		}
 	}
 	// Checked only at instants a whole millisecond past an expiry either
 	// side could have computed, so rounding on the wire cannot show.
 	for _, at := range []time.Duration{0, 2 * time.Millisecond, 11 * time.Second, 200 * 365 * 24 * time.Hour} {
 		offset.Store(int64(at))
-		for key := range ttls {
-			_, want, _ := direct.Get(key)
-			_, got, err := c.Get(key)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != want {
-				t.Errorf("at +%v key %q (ttl %v): present over the wire = %v, in process = %v", at, key, ttls[key], got, want)
+		for name := range ttls {
+			for _, key := range []string{name, "ex/" + name} {
+				_, want, _ := direct.Get(key)
+				_, got, err := c.Get(key)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != want {
+					t.Errorf("at +%v key %q (ttl %v): present over the wire = %v, in process = %v", at, key, ttls[name], got, want)
+				}
 			}
 		}
 	}
 	offset.Store(int64(2 * time.Millisecond))
-	if _, ok, _ := c.Get("sub-ms"); ok {
-		t.Error("a 300µs TTL put through the client never expires")
+	for _, key := range []string{"sub-ms", "ex/sub-ms"} {
+		if _, ok, _ := c.Get(key); ok {
+			t.Errorf("%s: a 300µs TTL stored through the client never expires", key)
+		}
 	}
 }
 

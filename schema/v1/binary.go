@@ -9,11 +9,14 @@
 //	float64 = 8 bytes, big-endian IEEE-754 bits
 //	int64   = zig-zag varint
 //	bool    = one byte, 0 or 1
+//	list    = uvarint element count, then the elements in order
 //
 // Every codec is allocation-free in both directions: encoders append into a
 // caller-owned buffer, decoders read scalar fields in place and may alias
 // string fields to the input buffer via zero-copy views — see DecodeBinary's
-// aliasing contract.
+// aliasing contract. A list decodes into the slice the message already
+// holds, so a reused message allocates only when a list outgrows it, and a
+// count is bounded by the bytes left before anything is allocated for it.
 package schemav1
 
 import (
@@ -21,6 +24,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"unsafe"
 )
 
@@ -121,6 +125,18 @@ func ReadBool(src []byte) (bool, []byte, error) {
 	}
 }
 
+// readCount consumes a list's uvarint element count. Every element takes at
+// least minSize bytes, so a count the rest of src cannot hold is a truncation:
+// a ten-byte payload claiming 2⁶⁰ elements fails here instead of sizing a
+// slice for them.
+func readCount(src []byte, minSize int) (int, []byte, error) {
+	n, w := binary.Uvarint(src)
+	if w <= 0 || n > uint64(len(src)-w)/uint64(minSize) {
+		return 0, nil, ErrShortBuffer
+	}
+	return int(n), src[w:], nil
+}
+
 func done(rest []byte) error {
 	if len(rest) != 0 {
 		return ErrTrailingBytes
@@ -139,16 +155,28 @@ func (m *KVPut) AppendBinary(dst []byte) []byte {
 
 // DecodeBinary implements WireUnmarshaler.
 func (m *KVPut) DecodeBinary(src []byte) (err error) {
-	if m.Key, src, err = ReadString(src); err != nil {
-		return err
-	}
-	if m.Value, src, err = ReadFloat64(src); err != nil {
-		return err
-	}
-	if m.TTLMs, src, err = ReadInt64(src); err != nil {
+	if src, err = m.read(src); err != nil {
 		return err
 	}
 	return done(src)
+}
+
+// minKVPut is the shortest KVPut encoding: an empty key's length byte, the
+// float64 and a one-byte TTL.
+const minKVPut = 1 + 8 + 1
+
+// read consumes one KVPut and returns the rest of src.
+func (m *KVPut) read(src []byte) (rest []byte, err error) {
+	if m.Key, src, err = ReadString(src); err != nil {
+		return nil, err
+	}
+	if m.Value, src, err = ReadFloat64(src); err != nil {
+		return nil, err
+	}
+	if m.TTLMs, src, err = ReadInt64(src); err != nil {
+		return nil, err
+	}
+	return src, nil
 }
 
 // AppendBinary implements AppendMarshaler.
@@ -190,6 +218,68 @@ func (m *KVSumReply) AppendBinary(dst []byte) []byte {
 func (m *KVSumReply) DecodeBinary(src []byte) (err error) {
 	if m.Sum, src, err = ReadFloat64(src); err != nil {
 		return err
+	}
+	return done(src)
+}
+
+// AppendBinary implements AppendMarshaler: the puts as a list of KVPut
+// encodings, then the prefixes as a list of strings.
+func (m *KVExchange) AppendBinary(dst []byte) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(m.Puts)))
+	for i := range m.Puts {
+		dst = m.Puts[i].AppendBinary(dst)
+	}
+	dst = binary.AppendUvarint(dst, uint64(len(m.Prefixes)))
+	for _, p := range m.Prefixes {
+		dst = AppendString(dst, p)
+	}
+	return dst
+}
+
+// DecodeBinary implements WireUnmarshaler.
+func (m *KVExchange) DecodeBinary(src []byte) (err error) {
+	var n int
+	if n, src, err = readCount(src, minKVPut); err != nil {
+		return err
+	}
+	m.Puts = slices.Grow(m.Puts[:0], n)[:n]
+	for i := range m.Puts {
+		if src, err = m.Puts[i].read(src); err != nil {
+			return err
+		}
+	}
+	if n, src, err = readCount(src, 1); err != nil {
+		return err
+	}
+	m.Prefixes = slices.Grow(m.Prefixes[:0], n)[:n]
+	for i := range m.Prefixes {
+		if m.Prefixes[i], src, err = ReadString(src); err != nil {
+			return err
+		}
+	}
+	return done(src)
+}
+
+// AppendBinary implements AppendMarshaler: the sums as a list of float64.
+func (m *KVExchangeReply) AppendBinary(dst []byte) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(m.Sums)))
+	for _, s := range m.Sums {
+		dst = AppendFloat64(dst, s)
+	}
+	return dst
+}
+
+// DecodeBinary implements WireUnmarshaler.
+func (m *KVExchangeReply) DecodeBinary(src []byte) (err error) {
+	var n int
+	if n, src, err = readCount(src, 8); err != nil {
+		return err
+	}
+	m.Sums = slices.Grow(m.Sums[:0], n)[:n]
+	for i := range m.Sums {
+		if m.Sums[i], src, err = ReadFloat64(src); err != nil {
+			return err
+		}
 	}
 	return done(src)
 }

@@ -129,6 +129,21 @@ type KVSumReply struct {
 	Sum float64 `json:"sum"`
 }
 
+// KVExchange is one enforcement cycle's rate-store traffic in one request:
+// the server applies every put, then sums every prefix, so the sums include
+// the puts. Agents send one per cycle (two puts, two prefixes). Frozen: it
+// has a binary codec.
+type KVExchange struct {
+	Puts     []KVPut  `json:"puts"`
+	Prefixes []string `json:"prefixes"`
+}
+
+// KVExchangeReply answers a KVExchange: one sum per prefix, in request
+// order. Frozen: it has a binary codec.
+type KVExchangeReply struct {
+	Sums []float64 `json:"sums"`
+}
+
 // --- Contract database ----------------------------------------------------
 
 // DBRateQuery asks for the entitled rate of one flow set at one instant.
@@ -188,6 +203,8 @@ func Defs() []Def {
 		{Name: "kvstore.key", Version: 1, Type: reflect.TypeOf(KVKey{}), Binary: true},
 		{Name: "kvstore.get_reply", Version: 1, Type: reflect.TypeOf(KVGetReply{}), Binary: true},
 		{Name: "kvstore.sum_reply", Version: 1, Type: reflect.TypeOf(KVSumReply{}), Binary: true},
+		{Name: "kvstore.exchange", Version: 1, Type: reflect.TypeOf(KVExchange{}), Binary: true},
+		{Name: "kvstore.exchange_reply", Version: 1, Type: reflect.TypeOf(KVExchangeReply{}), Binary: true},
 		{Name: "contractdb.rate_query", Version: 1, Type: reflect.TypeOf(DBRateQuery{}), Binary: true},
 		{Name: "contractdb.rate_reply", Version: 1, Type: reflect.TypeOf(DBRateReply{}), Binary: true},
 		{Name: "contractdb.slo_query", Version: 1, Type: reflect.TypeOf(DBSLOQuery{})},

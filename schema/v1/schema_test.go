@@ -2,6 +2,7 @@ package schemav1
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"reflect"
@@ -57,6 +58,35 @@ func TestBinaryRoundTrip(t *testing.T) {
 		t.Errorf("DBRateQuery = %+v, want %+v", rq2, rq)
 	}
 
+	ex := KVExchange{
+		Puts:     []KVPut{put, {Key: "conform/web/gold/us-east/h1", Value: 1e9, TTLMs: 1}},
+		Prefixes: []string{"rates/web/gold/us-east/", "", "conform/web/gold/us-east/"},
+	}
+	var ex2 KVExchange
+	if err := ex2.DecodeBinary(ex.AppendBinary(nil)); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(ex2, ex) {
+		t.Errorf("KVExchange = %+v, want %+v", ex2, ex)
+	}
+	// Decoding into a message that held longer lists leaves no stale tail.
+	short := KVExchange{Puts: []KVPut{put}}
+	if err := ex2.DecodeBinary(short.AppendBinary(nil)); err != nil {
+		t.Fatal(err)
+	}
+	if len(ex2.Puts) != 1 || ex2.Puts[0] != put || len(ex2.Prefixes) != 0 {
+		t.Errorf("KVExchange reused = %+v, want %+v", ex2, short)
+	}
+
+	exr := KVExchangeReply{Sums: []float64{3.5e9, 0, -1}}
+	var exr2 KVExchangeReply
+	if err := exr2.DecodeBinary(exr.AppendBinary(nil)); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(exr2, exr) {
+		t.Errorf("KVExchangeReply = %+v, want %+v", exr2, exr)
+	}
+
 	rr := DBRateReply{Rate: 9.75e8, Found: false}
 	var rr2 DBRateReply
 	if err := rr2.DecodeBinary(rr.AppendBinary(nil)); err != nil {
@@ -98,6 +128,25 @@ func TestBinaryGoldenBytes(t *testing.T) {
 			want: "0000000000000000",
 		},
 		{
+			name: "KVExchange",
+			got: (&KVExchange{
+				Puts:     []KVPut{{Key: "k", Value: 1.0, TTLMs: 1}},
+				Prefixes: []string{"ab", ""},
+			}).AppendBinary(nil),
+			// one put encoded as KVPut, then two prefixes
+			want: "01" + "016b" + "3ff0000000000000" + "02" + "02" + "026162" + "00",
+		},
+		{
+			name: "KVExchange empty",
+			got:  (&KVExchange{}).AppendBinary(nil),
+			want: "00" + "00",
+		},
+		{
+			name: "KVExchangeReply",
+			got:  (&KVExchangeReply{Sums: []float64{2.0, 0}}).AppendBinary(nil),
+			want: "02" + "4000000000000000" + "0000000000000000",
+		},
+		{
 			name: "DBRateQuery",
 			got:  (&DBRateQuery{NPG: "n", Class: "c", Region: "r", Dir: "d", AtUnix: -1}).AppendBinary(nil),
 			// four len-1 strings, zigzag(-1)=1
@@ -136,6 +185,40 @@ func TestBinaryDecodeRejectsMalformed(t *testing.T) {
 	if err := g.DecodeBinary(bad); err == nil {
 		t.Error("invalid bool byte accepted")
 	}
+
+	ex := (&KVExchange{
+		Puts:     []KVPut{{Key: "key", Value: 1, TTLMs: 5}, {Key: "k2", Value: 2, TTLMs: 0}},
+		Prefixes: []string{"p/", "q/"},
+	}).AppendBinary(nil)
+	exr := (&KVExchangeReply{Sums: []float64{1, 2}}).AppendBinary(nil)
+	for _, c := range []struct {
+		m    WireUnmarshaler
+		full []byte
+	}{{new(KVExchange), ex}, {new(KVExchangeReply), exr}} {
+		for i := 0; i < len(c.full); i++ {
+			if err := c.m.DecodeBinary(c.full[:i]); err == nil {
+				t.Errorf("truncated %T at %d accepted", c.m, i)
+			}
+		}
+		if err := c.m.DecodeBinary(append(c.full, 0)); err != ErrTrailingBytes {
+			t.Errorf("%T trailing bytes: err = %v, want ErrTrailingBytes", c.m, err)
+		}
+	}
+	// A count larger than the rest of the payload could hold.
+	for name, raw := range map[string]string{
+		"puts":     "02" + "016b" + "3ff0000000000000" + "02" + "00",
+		"prefixes": "00" + "03" + "0161" + "0162",
+		"sums":     "02" + "4000000000000000",
+	} {
+		b, _ := hex.DecodeString(raw)
+		var m WireUnmarshaler = new(KVExchange)
+		if name == "sums" {
+			m = new(KVExchangeReply)
+		}
+		if err := m.DecodeBinary(b); err != ErrShortBuffer {
+			t.Errorf("overlong %s count: err = %v, want ErrShortBuffer", name, err)
+		}
+	}
 }
 
 func TestBinaryDecodeNeverPanics(t *testing.T) {
@@ -152,10 +235,46 @@ func TestBinaryDecodeNeverPanics(t *testing.T) {
 		q.DecodeBinary(raw)
 		var r DBRateReply
 		r.DecodeBinary(raw)
+		var x KVExchange
+		x.DecodeBinary(raw)
+		var xr KVExchangeReply
+		xr.DecodeBinary(raw)
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+
+	// A list count is bounded by the bytes that follow it before anything
+	// is allocated: a 10-byte payload claiming 2⁶⁰ puts (or prefixes, or
+	// sums) is rejected without allocating room for them.
+	huge := binary.AppendUvarint(nil, 1<<60)
+	for name, raw := range map[string][]byte{
+		"puts":     append(huge, make([]byte, 10-len(huge))...),
+		"prefixes": append(append([]byte{0}, huge...), make([]byte, 9-len(huge))...),
+	} {
+		if len(raw) != 10 {
+			t.Fatalf("%s payload is %d bytes", name, len(raw))
+		}
+		var x KVExchange
+		allocs := testing.AllocsPerRun(10, func() {
+			if err := x.DecodeBinary(raw); err != ErrShortBuffer {
+				t.Errorf("2^60 %s: err = %v, want ErrShortBuffer", name, err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("2^60 %s: decoding allocated %v times", name, allocs)
+		}
+	}
+	sums := append(huge, make([]byte, 10-len(huge))...)
+	var xr KVExchangeReply
+	allocs := testing.AllocsPerRun(10, func() {
+		if err := xr.DecodeBinary(sums); err != ErrShortBuffer {
+			t.Errorf("2^60 sums: err = %v, want ErrShortBuffer", err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("2^60 sums: decoding allocated %v times", allocs)
 	}
 }
 
