@@ -19,7 +19,6 @@ var (
 	mStaleSeconds   = obs.RegisterGaugeVec("entitlement_enforce_stale_seconds", "Age of the oldest cached datum the agent's last decision used, by host.", "host")
 	mLastSuccess    = obs.RegisterGaugeVec("entitlement_enforce_last_success_timestamp_seconds", "Cycle time (unix seconds, agent clock) of the host's last fully healthy — non-degraded — enforcement cycle; frozen while the agent runs on cached data.", "host")
 
-	mPublishFails   = obs.RegisterCounter("entitlement_enforce_publish_failures_total", "Failed rate publishes to the rate store.")
-	mAggregateFails = obs.RegisterCounter("entitlement_enforce_aggregate_failures_total", "Failed service-wide rate aggregations.")
-	mContractFails  = obs.RegisterCounter("entitlement_enforce_contract_failures_total", "Failed contract database queries.")
+	mExchangeFails = obs.RegisterCounter("entitlement_enforce_rate_exchange_failures_total", "Failed rate-store exchanges: this host's rate publish and the service-wide aggregate, made as one call.")
+	mContractFails = obs.RegisterCounter("entitlement_enforce_contract_failures_total", "Failed contract database queries.")
 )
